@@ -8,98 +8,5 @@ Born-rule sampling.
 """
 
 from ._version import __version__
-from .errors import (
-    ContextNetError,
-    DegenerateSpan,
-    DimensionMismatch,
-    EmptyChain,
-    EmptyTrials,
-    IncompleteContext,
-    MissingAssignment,
-    NotNormalized,
-    OutOfDomain,
-)
-from .hardy3 import (
-    HardyScenario,
-    ScenarioParams,
-    build_scenario,
-    chain_rule_residual,
-    f_expansion_residual,
-    nf_relation_residual,
-    predicted_f3,
-    predicted_nf3,
-    predicted_paradox,
-)
-from .hardy3 import verify_all as verify_hardy3
-from .hilbert import (
-    NORM_TOL,
-    ORTH_TOL,
-    PHASE_CANON,
-    StateVector,
-    basis_vector,
-    born_probability,
-    complete_context,
-    inner,
-    orthogonal_complement,
-    tensor,
-)
-from .network import (
-    ContextNetwork,
-    Figure,
-    Realization,
-    Violation,
-    builtin_network,
-    network_from_json,
-    network_to_json,
-    validate_realization,
-)
-from .nonlocal4 import (
-    LocalParams,
-    NonlocalScenario,
-    aa_decomposition_residual,
-    build_nonlocal,
-    is_entangled,
-    predicted_aa_nf,
-    predicted_faa,
-    predicted_fnl_nf,
-    schmidt_coefficients,
-)
-from .nonlocal4 import verify_all as verify_nonlocal4
-from .oracle import (
-    MeasurementContext,
-    SampleEstimate,
-    estimate_nonlocal_paradox,
-    estimate_paradox,
-    sample_context,
-    sequential_probability,
-)
-from .report import Relation, RelationReport, report_to_json
 
-__all__ = [
-    "__version__",
-    # errors
-    "ContextNetError", "DimensionMismatch", "NotNormalized", "DegenerateSpan",
-    "OutOfDomain", "MissingAssignment", "IncompleteContext", "EmptyChain",
-    "EmptyTrials",
-    # vector core
-    "StateVector", "basis_vector", "inner", "born_probability", "tensor",
-    "orthogonal_complement", "complete_context",
-    "NORM_TOL", "ORTH_TOL", "PHASE_CANON",
-    # networks
-    "Figure", "ContextNetwork", "Realization", "Violation",
-    "builtin_network", "validate_realization", "network_to_json", "network_from_json",
-    # dimension-3 scenario
-    "ScenarioParams", "HardyScenario", "build_scenario",
-    "chain_rule_residual", "f_expansion_residual", "nf_relation_residual",
-    "predicted_nf3", "predicted_f3", "predicted_paradox", "verify_hardy3",
-    # two-qubit scenario
-    "LocalParams", "NonlocalScenario", "build_nonlocal",
-    "predicted_fnl_nf", "predicted_faa", "predicted_aa_nf",
-    "aa_decomposition_residual", "schmidt_coefficients", "is_entangled",
-    "verify_nonlocal4",
-    # statistics
-    "MeasurementContext", "SampleEstimate", "sequential_probability",
-    "sample_context", "estimate_paradox", "estimate_nonlocal_paradox",
-    # reports
-    "Relation", "RelationReport", "report_to_json",
-]
+__all__ = ["__version__"]

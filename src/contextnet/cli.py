@@ -26,10 +26,14 @@ from . import hardy3, nonlocal4, oracle
 from ._version import __version__
 from .errors import ContextNetError
 from .network import builtin_network, network_to_json
-from .report import RelationReport, report_to_json
+from .report import report_to_json
 
 #: A relation with residual at or above this fails the verify command.
 RESIDUAL_THRESHOLD = 1e-10
+
+#: Scenario name -> module. Each module defines ``PARAMS``, ``build`` and
+#: ``verify_all``, looked up on the module at every call.
+SCENARIOS = {"hardy3": hardy3, "nonlocal4": nonlocal4}
 
 
 @dataclass(frozen=True)
@@ -49,24 +53,17 @@ class SweepSpec:
                 raise ValueError(f"{name} range [{lo}, {hi}] must lie strictly inside (0, 1)")
 
 
-def _load_params(kind: str, path: str):
+def _build(kind: str, path: str):
+    """The scenario named ``kind``, built from the JSON parameter file."""
+    module = SCENARIOS[kind]
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if kind == "hardy3":
-        return hardy3.ScenarioParams.from_dict(doc)
-    return nonlocal4.LocalParams.from_dict(doc)
-
-
-def _build_report(kind: str, params) -> RelationReport:
-    if kind == "hardy3":
-        return hardy3.verify_all(hardy3.build_scenario(params))
-    return nonlocal4.verify_all(nonlocal4.build_nonlocal(params))
+    return module.build(module.PARAMS.from_dict(doc))
 
 
 def cmd_verify(kind: str, params_path: str) -> int:
     try:
-        params = _load_params(kind, params_path)
-        report = _build_report(kind, params)
+        report = SCENARIOS[kind].verify_all(_build(kind, params_path))
     except (ContextNetError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -106,11 +103,7 @@ def cmd_sweep(spec: SweepSpec) -> int:
 
 def cmd_sample(kind: str, params_path: str, seed: int, trials: int) -> int:
     try:
-        params = _load_params(kind, params_path)
-        if kind == "hardy3":
-            estimate = oracle.estimate_paradox(params, seed=seed, trials=trials)
-        else:
-            estimate = oracle.estimate_nonlocal_paradox(params, seed=seed, trials=trials)
+        estimate = oracle.estimate(_build(kind, params_path), seed, trials)
     except (ContextNetError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -147,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check every relation of a scenario")
-    p_verify.add_argument("scenario", choices=["hardy3", "nonlocal4"])
+    p_verify.add_argument("scenario", choices=list(SCENARIOS))
     p_verify.add_argument("--params", required=True, help="JSON parameter file")
 
     p_sweep = sub.add_parser("sweep", help="grid sweep of the paradox probability")
@@ -157,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo estimate of the paradox")
-    p_sample.add_argument("scenario", choices=["hardy3", "nonlocal4"])
+    p_sample.add_argument("scenario", choices=list(SCENARIOS))
     p_sample.add_argument("--params", required=True, help="JSON parameter file")
     p_sample.add_argument("--seed", type=_parse_seed, required=True)
     p_sample.add_argument("--trials", type=int, required=True)
@@ -185,9 +178,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return cmd_sweep(spec)
     if args.command == "sample":
-        if args.trials < 1:
-            print(f"error: trials={args.trials}; need at least 1", file=sys.stderr)
-            return 2
         return cmd_sample(args.scenario, args.params, args.seed, args.trials)
     return cmd_graph(args.figure)
 

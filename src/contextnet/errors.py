@@ -45,17 +45,17 @@ class EmptyTrials(ContextNetError):
 BOUNDARY_MARGIN = 1e-9
 
 
-def require_interior(value: float, name: str, margin: float = BOUNDARY_MARGIN) -> float:
-    """Return ``value`` if it lies strictly inside (0, 1) with the given margin.
+def require_interior(value: float, name: str) -> float:
+    """Return ``value`` if it lies inside (0, 1) by at least ``BOUNDARY_MARGIN``.
 
     Raises:
-        OutOfDomain: if ``value`` is within ``margin`` of 0 or 1 (or outside
-            the unit interval altogether).
+        OutOfDomain: if ``value`` is within ``BOUNDARY_MARGIN`` of 0 or 1 (or
+            outside the unit interval altogether, or NaN).
     """
     v = float(value)
-    if not (margin <= v <= 1.0 - margin):
+    if not (BOUNDARY_MARGIN <= v <= 1.0 - BOUNDARY_MARGIN):
         raise OutOfDomain(
-            f"{name}={v!r} must lie in [{margin}, {1.0 - margin}]; "
+            f"{name}={v!r} must lie in [{BOUNDARY_MARGIN}, {1.0 - BOUNDARY_MARGIN}]; "
             "boundary values break the scenario's non-orthogonality requirements"
         )
     return v

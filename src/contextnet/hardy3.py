@@ -28,18 +28,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement
-from .network import Realization
 from .report import Relation, RelationReport, make_relation
+from .scenario import Params, Scenario
 
 
 @dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Params):
     """Free data of the scenario: two overlap probabilities and two phases.
 
     alpha and beta must lie strictly inside (0, 1); at the boundary the
@@ -51,36 +50,18 @@ class ScenarioParams:
     phase_d1: float = 0.0
     phase_d2: float = 0.0
 
-    def __post_init__(self) -> None:
-        require_interior(self.alpha, "alpha")
-        require_interior(self.beta, "beta")
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "phase_d1": self.phase_d1,
-            "phase_d2": self.phase_d2,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ScenarioParams":
-        unknown = set(doc) - {"alpha", "beta", "phase_d1", "phase_d2"}
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        if "alpha" not in doc or "beta" not in doc:
-            raise ValueError("parameters require both 'alpha' and 'beta'")
-        return cls(
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            phase_d1=float(doc.get("phase_d1", 0.0)),
-            phase_d2=float(doc.get("phase_d2", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class HardyScenario:
+class HardyScenario(Scenario):
     """The nine concrete outcome vectors of the dimension-3 scenario."""
+
+    LABELS = {
+        "1": "k1", "2": "k2", "3": "k3",
+        "D1": "d1", "D2": "d2",
+        "S1": "s1", "S2": "s2",
+        "f": "f", "N_f": "n_f",
+    }
+    SAMPLED = ("N_f", "f")
 
     params: ScenarioParams
     k1: StateVector
@@ -92,19 +73,6 @@ class HardyScenario:
     s2: StateVector
     f: StateVector
     n_f: StateVector
-
-    @property
-    def vectors(self) -> dict[str, StateVector]:
-        """Outcome label -> vector, matching the Figure 2 node names."""
-        return {
-            "1": self.k1, "2": self.k2, "3": self.k3,
-            "D1": self.d1, "D2": self.d2,
-            "S1": self.s1, "S2": self.s2,
-            "f": self.f, "N_f": self.n_f,
-        }
-
-    def realization(self) -> Realization:
-        return Realization(assignment=self.vectors)
 
 
 def build_scenario(params: ScenarioParams) -> HardyScenario:
@@ -173,18 +141,22 @@ def predicted_nf3(alpha: float, beta: float) -> float:
     """Closed form for |<3|N_f>|^2: (1-a)(1-b) / (1-ab).
 
     Strictly positive for interior parameters, so N_f can never join the
-    central context.
+    central context. The denominator is formed as (1-a) + a(1-b), which
+    does not cancel as a and b approach 1.
     """
     a = require_interior(alpha, "alpha")
     b = require_interior(beta, "beta")
-    return (1.0 - a) * (1.0 - b) / (1.0 - a * b)
+    return (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
 
 
 def predicted_f3(alpha: float, beta: float) -> float:
-    """Closed form for |<f|3>|^2: ab / (1 - (1-a)(1-b))."""
+    """Closed form for |<f|3>|^2: ab / (1 - (1-a)(1-b)).
+
+    The denominator is formed as a + b(1-a), free of cancellation.
+    """
     a = require_interior(alpha, "alpha")
     b = require_interior(beta, "beta")
-    return a * b / (1.0 - (1.0 - a) * (1.0 - b))
+    return a * b / (a + b * (1.0 - a))
 
 
 def predicted_paradox(alpha: float, beta: float) -> float:
@@ -192,11 +164,12 @@ def predicted_paradox(alpha: float, beta: float) -> float:
 
     Equals predicted_nf3 * predicted_f3 and depends only on the two
     magnitudes, never on the phases. Maximal value 1/9 at (1/2, 1/2).
+    Both denominators use the cancellation-free forms above.
     """
     a = require_interior(alpha, "alpha")
     b = require_interior(beta, "beta")
-    return (a * b / (1.0 - a * b)) * (
-        (1.0 - a) * (1.0 - b) / (1.0 - (1.0 - a) * (1.0 - b))
+    return (a * b / ((1.0 - a) + a * (1.0 - b))) * (
+        (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
     )
 
 
@@ -246,3 +219,8 @@ def verify_all(s: HardyScenario) -> RelationReport:
         make_relation("eq16", predicted_paradox(a, b), abs(inner(s.f, s.n_f)) ** 2),
     ]
     return RelationReport(params=s.params.to_dict(), relations=tuple(relations))
+
+
+#: The names the CLI looks up on every scenario module.
+PARAMS = ScenarioParams
+build = build_scenario

@@ -28,6 +28,9 @@ PHASE_CANON = "first-nonzero-real-positive"
 #: Norm deviation beyond which inputs labeled "normalized" are rejected.
 NORM_CHECK_TOL = 1e-10
 
+#: Round-off spill outside [0, 1] that ``clamp_probability`` absorbs.
+PROBABILITY_SLACK = 1e-12
+
 
 class StateVector:
     """Immutable complex vector of fixed finite dimension.
@@ -57,8 +60,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self._components))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORM_TOL
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
@@ -102,14 +105,14 @@ def inner(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(u.components, v.components))
 
 
-def clamp_probability(value: float, slack: float = 1e-12) -> float:
-    """Clamp a value into [0, 1], allowing only ``slack`` of round-off spill.
+def clamp_probability(value: float) -> float:
+    """Clamp a value into [0, 1], allowing only ``PROBABILITY_SLACK`` of spill.
 
-    Values outside [-slack, 1 + slack] indicate a genuine bug upstream and
+    Values further outside [0, 1] indicate a genuine bug upstream and
     raise ValueError rather than being silently clipped.
     """
-    if value < -slack or value > 1.0 + slack:
-        raise ValueError(f"value {value!r} is not a probability even within slack {slack}")
+    if value < -PROBABILITY_SLACK or value > 1.0 + PROBABILITY_SLACK:
+        raise ValueError(f"value {value!r} is outside [0, 1] by more than {PROBABILITY_SLACK}")
     return min(max(value, 0.0), 1.0)
 
 
@@ -158,8 +161,8 @@ def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVect
     """Unit vector orthogonal to every input, canonically phased.
 
     The inputs must span a (dim - 1)-dimensional subspace so that the
-    complement is unique up to phase. Rank is decided from the eigenvalues
-    of the Gram matrix (basis-independent) with tolerance ``ORTH_TOL``.
+    complement is unique up to phase. Rank is decided from the squared
+    singular values (the Gram eigenvalues, basis-independent) with ``ORTH_TOL``.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
@@ -173,16 +176,17 @@ def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVect
         if v.dim != dim:
             raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
     m = np.array([v.components for v in vecs])
-    gram = m.conj() @ m.T
-    eigs = np.linalg.eigvalsh(gram)
-    rank = int(np.count_nonzero(eigs > ORTH_TOL))
+    try:
+        _, sv, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:  # raised for NaN or infinite inputs
+        raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
+    rank = int(np.count_nonzero(sv * sv > ORTH_TOL))
     if rank != dim - 1:
         raise DegenerateSpan(
             f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
         )
     # Rank is exactly dim - 1, so the null space of m is one-dimensional and
     # the last right-singular vector spans it.
-    _, _, vh = np.linalg.svd(m)
     return StateVector(canonical_phase(vh[-1]))
 
 

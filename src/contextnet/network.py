@@ -180,14 +180,13 @@ def builtin_network(figure: Union[Figure, int]) -> ContextNetwork:
 def validate_realization(
     net: ContextNetwork,
     realization: Union[Realization, Mapping[str, StateVector]],
-    tol: float = ORTH_TOL,
 ) -> list[Violation]:
     """Check a concrete vector assignment against a network's constraints.
 
-    Returns one Violation per edge whose overlap magnitude is >= tol and
-    per required non-edge whose overlap magnitude is < tol; an empty list
-    means the assignment realizes the network faithfully. Labels present in
-    the assignment but absent from the network are ignored.
+    Returns one Violation per edge whose overlap magnitude is >= ``ORTH_TOL``
+    and per required non-edge whose overlap magnitude is < ``ORTH_TOL``; an
+    empty list means the assignment realizes the network faithfully. Labels
+    present in the assignment but absent from the network are ignored.
 
     Raises:
         MissingAssignment: if some network node has no vector.
@@ -204,11 +203,11 @@ def validate_realization(
     violations: list[Violation] = []
     for a, b in sorted(net.edges):
         overlap = abs(inner(assignment[a], assignment[b]))
-        if overlap >= tol:
+        if overlap >= ORTH_TOL:
             violations.append(Violation("edge", (a, b), overlap))
     for a, b in sorted(net.required_non_edges):
         overlap = abs(inner(assignment[a], assignment[b]))
-        if overlap < tol:
+        if overlap < ORTH_TOL:
             violations.append(Violation("non_edge", (a, b), overlap))
     return violations
 

@@ -31,45 +31,36 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, tensor
-from .network import Realization
 from .report import Relation, RelationReport, make_relation
+from .scenario import Params, Scenario
 
 #: Second Schmidt coefficient above this marks a state as entangled.
 ENTANGLEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LocalParams:
+class LocalParams(Params):
     """Single local overlap probability a2 = |<a|0>|^2 plus a phase."""
 
     a2: float
     phase_a: float = 0.0
 
-    def __post_init__(self) -> None:
-        require_interior(self.a2, "a2")
-
-    def to_dict(self) -> dict[str, float]:
-        return {"a2": self.a2, "phase_a": self.phase_a}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "LocalParams":
-        unknown = set(doc) - {"a2", "phase_a"}
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        if "a2" not in doc:
-            raise ValueError("parameters require 'a2'")
-        return cls(a2=float(doc["a2"]), phase_a=float(doc.get("phase_a", 0.0)))
-
 
 @dataclass(frozen=True)
-class NonlocalScenario:
+class NonlocalScenario(Scenario):
     """Local kets, product kets and the two derived dimension-4 outcomes."""
+
+    LABELS = {
+        "0,0": "k00", "0,1": "k01", "1,0": "k10", "1,1": "k11",
+        "a,0": "ka0", "0,a": "k0a", "b,0": "kb0", "0,b": "k0b",
+        "a,a": "kaa", "f_NL": "f_nl", "N_f": "n_f",
+    }
+    SAMPLED = ("N_f", "a,a")
 
     params: LocalParams
     k0: StateVector
@@ -87,18 +78,6 @@ class NonlocalScenario:
     kaa: StateVector
     f_nl: StateVector
     n_f: StateVector
-
-    @property
-    def vectors(self) -> dict[str, StateVector]:
-        """Outcome label -> vector, matching the Figure 3/4 node names."""
-        return {
-            "0,0": self.k00, "0,1": self.k01, "1,0": self.k10, "1,1": self.k11,
-            "a,0": self.ka0, "0,a": self.k0a, "b,0": self.kb0, "0,b": self.k0b,
-            "a,a": self.kaa, "f_NL": self.f_nl, "N_f": self.n_f,
-        }
-
-    def realization(self) -> Realization:
-        return Realization(assignment=self.vectors)
 
 
 def build_nonlocal(params: LocalParams) -> NonlocalScenario:
@@ -135,13 +114,16 @@ def predicted_fnl_nf(a2: float) -> float:
     Coincides with the dimension-3 paradox probability at alpha = beta = a2.
     """
     x = require_interior(a2, "a2")
-    return (x * x / (1.0 + x)) * ((1.0 - x) / (1.0 - (1.0 - x) ** 2))
+    return (x * x / (1.0 + x)) * ((1.0 - x) / (x * (2.0 - x)))
 
 
 def predicted_faa(a2: float) -> float:
-    """Closed form for |<f_NL|a,a>|^2: 1 - (1 - a2)^2."""
+    """Closed form for |<f_NL|a,a>|^2: 1 - (1 - a2)^2, formed as a2 (2 - a2).
+
+    The product form does not cancel as a2 approaches 0.
+    """
     x = require_interior(a2, "a2")
-    return 1.0 - (1.0 - x) ** 2
+    return x * (2.0 - x)
 
 
 def predicted_aa_nf(a2: float) -> float:
@@ -187,8 +169,8 @@ def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
     return float(sv[0]), float(sv[1])
 
 
-def is_entangled(v: StateVector, tol: float = ENTANGLEMENT_TOL) -> bool:
-    return schmidt_coefficients(v)[1] > tol
+def is_entangled(v: StateVector) -> bool:
+    return schmidt_coefficients(v)[1] > ENTANGLEMENT_TOL
 
 
 def verify_all(s: NonlocalScenario) -> RelationReport:
@@ -206,3 +188,8 @@ def verify_all(s: NonlocalScenario) -> RelationReport:
         make_relation("eq21", predicted_aa_nf(a2), abs(inner(s.kaa, s.n_f)) ** 2),
     ]
     return RelationReport(params=s.params.to_dict(), relations=tuple(relations))
+
+
+#: The names the CLI looks up on every scenario module.
+PARAMS = LocalParams
+build = build_nonlocal

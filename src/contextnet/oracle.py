@@ -9,6 +9,7 @@ which makes estimates from disjoint runs mergeable by summing counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,28 +19,9 @@ from .errors import DimensionMismatch, EmptyChain, EmptyTrials, IncompleteContex
 from .hardy3 import ScenarioParams, build_scenario
 from .hilbert import ORTH_TOL, StateVector, born_probability, complete_context, inner
 from .nonlocal4 import LocalParams, build_nonlocal
+from .scenario import Scenario
 
 RNG_NAME = "philox4x64"
-
-
-def _check_complete(outcomes: Sequence[StateVector]) -> None:
-    if not outcomes:
-        raise IncompleteContext("a measurement context needs at least one outcome")
-    dim = outcomes[0].dim
-    if any(o.dim != dim for o in outcomes):
-        raise IncompleteContext("outcomes mix dimensions")
-    if len(outcomes) != dim:
-        raise IncompleteContext(
-            f"{len(outcomes)} outcomes cannot span a dimension-{dim} space"
-        )
-    for i, u in enumerate(outcomes):
-        for v in outcomes[i + 1:]:
-            if abs(inner(u, v)) >= ORTH_TOL:
-                raise IncompleteContext("outcomes are not mutually orthogonal")
-    m = np.array([o.components for o in outcomes])
-    completeness = m.conj().T @ m  # sum of projectors
-    if not np.allclose(completeness, np.eye(dim), atol=ORTH_TOL):
-        raise IncompleteContext("projectors do not sum to the identity")
 
 
 @dataclass(frozen=True)
@@ -49,8 +31,25 @@ class MeasurementContext:
     outcomes: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        _check_complete(self.outcomes)
+        outcomes = tuple(self.outcomes)
+        object.__setattr__(self, "outcomes", outcomes)
+        if not outcomes:
+            raise IncompleteContext("a measurement context needs at least one outcome")
+        dim = outcomes[0].dim
+        if any(o.dim != dim for o in outcomes):
+            raise IncompleteContext("outcomes mix dimensions")
+        if len(outcomes) != dim:
+            raise IncompleteContext(
+                f"{len(outcomes)} outcomes cannot span a dimension-{dim} space"
+            )
+        for i, u in enumerate(outcomes):
+            for v in outcomes[i + 1:]:
+                if abs(inner(u, v)) >= ORTH_TOL:
+                    raise IncompleteContext("outcomes are not mutually orthogonal")
+        m = np.array([o.components for o in outcomes])
+        completeness = m.conj().T @ m  # sum of projectors
+        if not np.allclose(completeness, np.eye(dim), atol=ORTH_TOL):
+            raise IncompleteContext("projectors do not sum to the identity")
 
     @property
     def dim(self) -> int:
@@ -66,7 +65,6 @@ class SampleEstimate:
     trials: int
     seed: int
     count: int
-    rng: str = RNG_NAME
 
     def to_json(self) -> dict:
         return {
@@ -74,7 +72,7 @@ class SampleEstimate:
             "stderr": self.standard_error,
             "trials": self.trials,
             "seed": self.seed,
-            "rng": self.rng,
+            "rng": RNG_NAME,
         }
 
 
@@ -111,22 +109,25 @@ def sample_context(
 
     Draws one multinomial sample of size ``trials`` from the analytic Born
     distribution, so the per-outcome counts partition ``trials`` exactly
-    and the run is reproducible for a fixed seed.
+    and the run is reproducible for a fixed seed. ``ctx`` was checked for
+    completeness when it was constructed.
 
     Raises:
+        TypeError: if ``seed`` or ``trials`` is not an integer (a bool is not).
         EmptyTrials: if ``trials`` < 1.
-        IncompleteContext: if the context fails the completeness check.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name}={value!r} must be an integer")
     if trials < 1:
         raise EmptyTrials(f"trials={trials}; need at least 1")
-    _check_complete(ctx.outcomes)
     probs = np.array([born_probability(prep, o) for o in ctx.outcomes])
     probs = probs / probs.sum()  # exact simplex point for the sampler
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(trials, probs)
     estimates = []
     for count in counts:
-        e = count / trials
+        e = int(count) / trials
         estimates.append(
             SampleEstimate(
                 estimate=e,
@@ -139,18 +140,25 @@ def sample_context(
     return estimates
 
 
+def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
+    """Sampled frequency of the scenario's ``SAMPLED`` outcome.
+
+    Prepares the first vector of ``SAMPLED``, completes the second to a full
+    context and returns the estimate for that outcome.
+    """
+    vectors = scenario.vectors
+    prep, outcome = (vectors[label] for label in scenario.SAMPLED)
+    ctx = MeasurementContext(tuple(complete_context([outcome], outcome.dim)))
+    return sample_context(prep, ctx, seed, trials)[0]
+
+
 def estimate_paradox(params: ScenarioParams, seed: int, trials: int) -> SampleEstimate:
     """Sampled frequency of the paradoxical outcome f when preparing N_f.
 
-    Builds the dimension-3 scenario, completes f to a full context and
-    returns the estimate for the f outcome. Its expectation is the
-    closed-form predicted_paradox(alpha, beta).
+    Builds the dimension-3 scenario and samples it through ``estimate``.
+    Its expectation is the closed-form predicted_paradox(alpha, beta).
     """
-    if trials < 1:
-        raise EmptyTrials(f"trials={trials}; need at least 1")
-    s = build_scenario(params)
-    ctx = MeasurementContext(tuple(complete_context([s.f], 3)))
-    return sample_context(s.n_f, ctx, seed, trials)[0]
+    return estimate(build_scenario(params), seed, trials)
 
 
 def estimate_nonlocal_paradox(
@@ -161,8 +169,4 @@ def estimate_nonlocal_paradox(
     The two-qubit analogue of ``estimate_paradox``; its expectation is
     predicted_aa_nf(a2), i.e. 1/12 at a2 = 1/2.
     """
-    if trials < 1:
-        raise EmptyTrials(f"trials={trials}; need at least 1")
-    s = build_nonlocal(params)
-    ctx = MeasurementContext(tuple(complete_context([s.kaa], 4)))
-    return sample_context(s.n_f, ctx, seed, trials)[0]
+    return estimate(build_nonlocal(params), seed, trials)

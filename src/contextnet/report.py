@@ -32,8 +32,6 @@ class RelationReport:
 
     params: Mapping[str, float]
     relations: tuple[Relation, ...]
-    phase_canon: str = PHASE_CANON
-    tool_version: str = __version__
 
     def max_residual(self) -> float:
         return max(r.residual for r in self.relations)
@@ -67,8 +65,8 @@ def report_to_json(report: RelationReport, timestamp: str | None = None) -> dict
     the library-level document reproducible for fixed parameters.
     """
     metadata: dict[str, str] = {
-        "phase_canon": report.phase_canon,
-        "tool_version": report.tool_version,
+        "phase_canon": PHASE_CANON,
+        "tool_version": __version__,
     }
     if timestamp is not None:
         metadata["timestamp"] = timestamp
@@ -83,6 +81,6 @@ def report_to_json(report: RelationReport, timestamp: str | None = None) -> dict
             }
             for r in report.relations
         ],
-        "phase_canon": report.phase_canon,
+        "phase_canon": PHASE_CANON,
         "metadata": metadata,
     }

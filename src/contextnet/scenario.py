@@ -1,0 +1,68 @@
+"""Bases of the scenario modules: validated parameters and labeled vectors.
+
+A scenario module declares its parameters and its outcome vectors as frozen
+dataclass fields on these bases and writes only its builder and relations.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Mapping
+
+from .errors import OutOfDomain, require_interior
+from .hilbert import StateVector
+from .network import Realization
+
+
+@dataclass(frozen=True)
+class Params:
+    """Free data of a scenario, declared as the float fields of a subclass.
+
+    A field without a default is a probability, checked by
+    ``require_interior``; a field with a default is a phase, which must be
+    finite. Either failure raises ``OutOfDomain`` on construction.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is MISSING:
+                require_interior(value, f.name)
+            elif not math.isfinite(value):
+                raise OutOfDomain(f"{f.name}={value!r} must be a finite phase")
+
+    def to_dict(self) -> dict[str, float]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "Params":
+        """Parameters from a JSON object; ValueError on unknown or missing keys."""
+        names = [f.name for f in fields(cls)]
+        unknown = set(doc) - set(names)
+        if unknown:
+            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        if any(name not in doc for name in required):
+            raise ValueError(f"parameters require {', '.join(map(repr, required))}")
+        return cls(**{name: float(doc[name]) for name in names if name in doc})
+
+
+class Scenario:
+    """The built outcome vectors of a scenario, held as fields of a subclass.
+
+    ``LABELS`` maps each figure node label to the attribute holding its
+    vector. ``SAMPLED`` names the (prepared state, detected outcome) pair
+    whose frequency the oracle samples.
+    """
+
+    LABELS: ClassVar[Mapping[str, str]]
+    SAMPLED: ClassVar[tuple[str, str]]
+
+    @property
+    def vectors(self) -> dict[str, StateVector]:
+        """Outcome label -> vector, matching the figure's node names."""
+        return {label: getattr(self, attr) for label, attr in self.LABELS.items()}
+
+    def realization(self) -> Realization:
+        return Realization(assignment=self.vectors)

@@ -69,6 +69,19 @@ class TestVerify:
             capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("phase", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_phase_exits_2(tmp_path, capsys, command, phase):
+    path = tmp_path / "phase.json"
+    path.write_text(f'{{"alpha": 0.5, "beta": 0.5, "phase_d1": {phase}}}')
+    argv = [command, "hardy3", "--params", str(path)]
+    if command == "sample":
+        argv += ["--seed", "1", "--trials", "100"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase_d1=") and "finite" in err
+
+
 class TestSweep:
     def test_small_grid_bounded_by_maximum(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -160,6 +173,15 @@ class TestSample:
         assert main(["sample", "hardy3", "--params", hardy_params,
                      "--seed", "1", "--trials", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed,trials,option", [("true", "100", "--seed"),
+                                                    ("1", "2.5", "--trials")])
+    def test_non_integer_seed_or_trials_exits_2(self, hardy_params, capsys, seed, trials, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "hardy3", "--params", hardy_params,
+                  "--seed", seed, "--trials", trials])
+        assert exc.value.code == 2
+        assert f"error: argument {option}" in capsys.readouterr().err
 
 
 class TestGraph:

@@ -44,6 +44,13 @@ class TestScenarioParams:
         with pytest.raises(OutOfDomain):
             ScenarioParams(1e-10, 0.5)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(OutOfDomain, match="finite"):
+            ScenarioParams(0.5, 0.5, phase_d1=phase)
+        with pytest.raises(OutOfDomain, match="finite"):
+            ScenarioParams.from_dict({"alpha": 0.5, "beta": 0.5, "phase_d2": phase})
+
     def test_round_trip(self):
         p = ScenarioParams(0.37, 0.81, 1.1, 2.2)
         assert ScenarioParams.from_dict(p.to_dict()) == p
@@ -276,6 +283,19 @@ class TestVerifyAll:
     def test_phase_randomized_report(self):
         s = build_scenario(ScenarioParams(0.37, 0.81, 1.1, 2.2))
         assert verify_all(s).max_residual() < 1e-10
+
+    @pytest.mark.parametrize("side", ["near_0", "near_1", "mixed"])
+    def test_gate_holds_near_boundaries(self, side):
+        # 1 - ab and 1 - (1-a)(1-b) cancel as a, b -> 1 unless the closed
+        # forms avoid the subtraction; distances are log-uniform in [1e-9, 1e-3].
+        rng = np.random.default_rng(["near_0", "near_1", "mixed"].index(side))
+        for _ in range(500):
+            d = 10.0 ** rng.uniform(-9.0, -3.0, 2)
+            a = 1.0 - d[0] if side == "near_1" else d[0]
+            b = d[1] if side == "near_0" else 1.0 - d[1]
+            ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            params = ScenarioParams(float(a), float(b), float(ph1), float(ph2))
+            assert verify_all(build_scenario(params)).max_residual() < 1e-10, params
 
     def test_reports_are_identical_across_runs(self):
         p = ScenarioParams(0.37, 0.81, 1.1, 2.2)

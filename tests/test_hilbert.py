@@ -190,6 +190,11 @@ class TestOrthogonalComplement:
         with pytest.raises(DegenerateSpan):
             orthogonal_complement([], 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DegenerateSpan):
+            orthogonal_complement([StateVector([bad, 0.0, 0.0]), basis_vector(3, 1)], 3)
+
     @given(u=_vectors(3), v=_vectors(3))
     @settings(deadline=None)
     def test_orthogonality_norm_and_phase(self, u, v):

@@ -42,6 +42,11 @@ class TestLocalParams:
         p = LocalParams(0.37, 1.3)
         assert LocalParams.from_dict(p.to_dict()) == p
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(OutOfDomain, match="finite"):
+            LocalParams(0.5, phase)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             LocalParams.from_dict({"a2": 0.5, "alpha": 0.5})
@@ -189,3 +194,12 @@ class TestVerifyAll:
     @settings(max_examples=60, deadline=None)
     def test_residuals_across_interior(self, params):
         assert verify_all(build_nonlocal(params)).max_residual() < 1e-10
+
+    @pytest.mark.parametrize("side", ["near_0", "near_1"])
+    def test_gate_holds_near_boundaries(self, side):
+        rng = np.random.default_rng(["near_0", "near_1"].index(side))
+        for _ in range(500):
+            d = 10.0 ** rng.uniform(-9.0, -3.0)
+            a2 = d if side == "near_0" else 1.0 - d
+            params = LocalParams(float(a2), float(rng.uniform(0.0, 2.0 * math.pi)))
+            assert verify_all(build_nonlocal(params)).max_residual() < 1e-10, params

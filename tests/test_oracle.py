@@ -119,6 +119,15 @@ class TestSampleContext:
         with pytest.raises(EmptyTrials):
             sample_context(basis_vector(3, 0), central_context, seed=1, trials=0)
 
+    @pytest.mark.parametrize("seed,trials", [(True, 10), (False, 10), (1, 2.5), (1, True)])
+    def test_non_integer_seed_or_trials_rejected(self, central_context, seed, trials):
+        with pytest.raises(TypeError, match="must be an integer"):
+            sample_context(basis_vector(3, 0), central_context, seed=seed, trials=trials)
+
+    def test_estimate_is_python_float(self, central_context):
+        for e in sample_context(basis_vector(3, 0), central_context, seed=4, trials=100):
+            assert type(e.estimate) is float
+
     def test_soundness_across_seeds(self, center):
         # all outcomes within 5 standard errors of the analytic value in at
         # least 99 of 100 independent seeds
