@@ -62,11 +62,7 @@ def _build(kind: str, path: str):
 
 
 def cmd_verify(kind: str, params_path: str) -> int:
-    try:
-        report = SCENARIOS[kind].verify_all(_build(kind, params_path))
-    except (ContextNetError, ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = SCENARIOS[kind].verify_all(_build(kind, params_path))
     timestamp = datetime.now(timezone.utc).isoformat()
     print(json.dumps(report_to_json(report, timestamp=timestamp), indent=2))
     failing = [r.id for r in report.relations if not r.residual < RESIDUAL_THRESHOLD]
@@ -80,20 +76,18 @@ def cmd_sweep(spec: SweepSpec) -> int:
     n = spec.grid_points_per_axis
     alphas = np.linspace(spec.alpha_range[0], spec.alpha_range[1], n)
     betas = np.linspace(spec.beta_range[0], spec.beta_range[1], n)
-    best = (-1.0, 1.0, 1.0)  # (p, alpha, beta); lexicographic argmax tie-break
-    try:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "beta", "p_paradox"])
-            for a in alphas:
-                for b in betas:
-                    p = hardy3.predicted_paradox(float(a), float(b))
-                    writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
-                    if p > best[0] or (p == best[0] and (a, b) < (best[1], best[2])):
-                        best = (p, float(a), float(b))
-    except OSError as exc:
-        print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
-        return 2
+    # (p, alpha, beta). Rows run in lexicographic (alpha, beta) order, so the
+    # first maximum is also the lexicographically smallest one: ties keep it.
+    best = (-1.0, 1.0, 1.0)
+    with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "beta", "p_paradox"])
+        for a in alphas:
+            for b in betas:
+                p = hardy3.predicted_paradox(float(a), float(b))
+                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
+                if p > best[0]:
+                    best = (p, float(a), float(b))
     print(
         f"sweep {n}x{n}: max p_paradox={best[0]:.17g} "
         f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {spec.output_path}"
@@ -102,11 +96,7 @@ def cmd_sweep(spec: SweepSpec) -> int:
 
 
 def cmd_sample(kind: str, params_path: str, seed: int, trials: int) -> int:
-    try:
-        estimate = oracle.estimate(_build(kind, params_path), seed, trials)
-    except (ContextNetError, ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    estimate = oracle.estimate(_build(kind, params_path), seed, trials)
     print(json.dumps(estimate.to_json(), indent=2))
     return 0
 
@@ -162,24 +152,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every bad input, whatever the command, exits 2 here."""
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args.scenario, args.params)
-    if args.command == "sweep":
-        try:
-            spec = SweepSpec(
-                grid_points_per_axis=args.grid,
-                alpha_range=args.alpha_range,
-                beta_range=args.beta_range,
-                output_path=Path(args.out),
+    try:
+        if args.command == "verify":
+            return cmd_verify(args.scenario, args.params)
+        if args.command == "sweep":
+            return cmd_sweep(
+                SweepSpec(
+                    grid_points_per_axis=args.grid,
+                    alpha_range=args.alpha_range,
+                    beta_range=args.beta_range,
+                    output_path=Path(args.out),
+                )
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return cmd_sweep(spec)
-    if args.command == "sample":
-        return cmd_sample(args.scenario, args.params, args.seed, args.trials)
-    return cmd_graph(args.figure)
+        if args.command == "sample":
+            return cmd_sample(args.scenario, args.params, args.seed, args.trials)
+        return cmd_graph(args.figure)
+    except (ContextNetError, ValueError, TypeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -3,8 +3,10 @@
 Everything operates on immutable complex vectors in fixed finite dimension
 (2 to 4 in practice) using double precision with explicit tolerances:
 
-* ``NORM_TOL`` (1e-12) for normalization checks,
-* ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions.
+* ``NORM_TOL`` (1e-12) for ``StateVector.is_normalized``,
+* ``NORM_CHECK_TOL`` (1e-10) for the unit-norm checks on function inputs,
+* ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions,
+* ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
 Constructions defined only up to a global phase (orthogonal complements,
 basis completions) are made deterministic by the phase canon
@@ -28,8 +30,10 @@ PHASE_CANON = "first-nonzero-real-positive"
 #: Norm deviation beyond which inputs labeled "normalized" are rejected.
 NORM_CHECK_TOL = 1e-10
 
-#: Round-off spill outside [0, 1] that ``clamp_probability`` absorbs.
-PROBABILITY_SLACK = 1e-12
+#: Spill outside [0, 1] that ``clamp_probability`` absorbs. Two inputs that
+#: pass the norm check give a Born value of at most (1 + t)^4, about 1 + 4t
+#: for t = ``NORM_CHECK_TOL``; 5t leaves room for round-off.
+PROBABILITY_SLACK = 5 * NORM_CHECK_TOL
 
 
 class StateVector:
@@ -157,83 +161,65 @@ def canonical_phase(components: np.ndarray) -> np.ndarray:
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
 
-def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
-    """Unit vector orthogonal to every input, canonically phased.
+def _null_space(vectors: Sequence[StateVector], dim: int) -> np.ndarray:
+    """Rows of an orthonormal basis of the complement of the inputs' span.
 
-    The inputs must span a (dim - 1)-dimensional subspace so that the
-    complement is unique up to phase. Rank is decided from the squared
-    singular values (the Gram eigenvalues, basis-independent) with ``ORTH_TOL``.
+    One SVD: the rank is the number of squared singular values (the Gram
+    eigenvalues, basis-independent) above ``ORTH_TOL``, and the
+    right-singular vectors past the rank span the complement.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
-        DegenerateSpan: if the inputs span fewer or more than dim - 1
-            dimensions (complement not unique, or empty).
+        DegenerateSpan: if the inputs are not finite.
     """
-    vecs = list(vectors)
-    if not vecs:
-        raise DegenerateSpan("no input vectors: complement is not unique")
-    for v in vecs:
+    for v in vectors:
         if v.dim != dim:
             raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
-    m = np.array([v.components for v in vecs])
+    m = np.array([v.components for v in vectors], dtype=np.complex128).reshape(-1, dim)
     try:
         _, sv, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # raised for NaN or infinite inputs
         raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    rank = int(np.count_nonzero(sv * sv > ORTH_TOL))
-    if rank != dim - 1:
+    return vh[int(np.count_nonzero(sv * sv > ORTH_TOL)):]
+
+
+def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
+    """Unit vector orthogonal to every input, canonically phased.
+
+    The inputs must span a (dim - 1)-dimensional subspace so that the
+    complement is unique up to phase; rank is decided by ``_null_space``.
+
+    Raises:
+        DimensionMismatch: if any input is not of dimension ``dim``.
+        DegenerateSpan: if the inputs span fewer or more than dim - 1
+            dimensions (complement not unique, or empty), or are not finite.
+    """
+    null = _null_space(list(vectors), dim)
+    if len(null) != 1:
         raise DegenerateSpan(
-            f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
+            f"inputs span a subspace of dimension {dim - len(null)}, expected {dim - 1}"
         )
-    # Rank is exactly dim - 1, so the null space of m is one-dimensional and
-    # the last right-singular vector spans it.
-    return StateVector(canonical_phase(vh[-1]))
+    return StateVector(canonical_phase(null[0]))
 
 
 def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVector]:
     """Deterministically extend orthonormal vectors to a full orthonormal basis.
 
-    Standard basis vectors are tried in index order; each candidate is
-    projected onto the complement of the span so far and kept if its
-    residual is non-negligible. New vectors are canonically phased, so the
-    completion is reproducible bit for bit. The returned list starts with
-    the inputs, unchanged.
+    The new vectors are the canonically phased rows of ``_null_space``, so
+    the completion is reproducible bit for bit. The returned list starts
+    with the inputs, unchanged.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
         NotNormalized: if an input is not unit norm.
-        DegenerateSpan: if the inputs are not mutually orthogonal.
+        DegenerateSpan: if the inputs are not mutually orthogonal, or are
+            not finite.
     """
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        if v.dim != dim:
-            raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
+    vecs = list(vectors)
+    null = _null_space(vecs, dim)
+    for i, v in enumerate(vecs):
         if abs(v.norm() - 1.0) > NORM_CHECK_TOL:
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
-        for prev in basis:
-            if abs(np.vdot(prev, v.components)) > ORTH_TOL:
-                raise DegenerateSpan("inputs are not mutually orthogonal")
-        basis.append(v.components)
-
-    completed = list(vectors)
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        candidate = np.zeros(dim, dtype=np.complex128)
-        candidate[i] = 1.0
-        for b in basis:
-            candidate = candidate - b * np.vdot(b, candidate)
-        residual = np.linalg.norm(candidate)
-        if residual < 1e-6:
-            continue
-        candidate = candidate / residual
-        # Second projection pass scrubs first-pass rounding.
-        for b in basis:
-            candidate = candidate - b * np.vdot(b, candidate)
-        candidate = candidate / np.linalg.norm(candidate)
-        new = StateVector(canonical_phase(candidate))
-        basis.append(new.components)
-        completed.append(new)
-    if len(completed) != dim:
-        raise DegenerateSpan("could not complete the basis from the standard axes")
-    return completed
+        if any(abs(np.vdot(u.components, v.components)) > ORTH_TOL for u in vecs[:i]):
+            raise DegenerateSpan("inputs are not mutually orthogonal")
+    return vecs + [StateVector(canonical_phase(row)) for row in null]

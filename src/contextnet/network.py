@@ -66,7 +66,11 @@ def _pairs(raw) -> frozenset[Pair]:
 
 @dataclass(frozen=True)
 class ContextNetwork:
-    """Labeled orthogonality graph with mandatory non-orthogonality pairs."""
+    """Labeled orthogonality graph with mandatory non-orthogonality pairs.
+
+    Pairs may be given in any order and container; construction stores them
+    as frozensets of sorted pairs.
+    """
 
     nodes: tuple[str, ...]
     edges: frozenset[Pair]
@@ -87,13 +91,6 @@ class ContextNetwork:
 
     def degree(self, node: str) -> int:
         return sum(1 for e in self.edges if node in e)
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Assignment of one concrete vector to every outcome label."""
-
-    assignment: Mapping[str, StateVector]
 
 
 @dataclass(frozen=True)
@@ -124,62 +121,40 @@ _FIG3_RELABEL = {
     "D1": "a,0", "D2": "0,a", "S1": "b,0", "S2": "0,b", "f": "f_NL",
 }
 
+_FIG3 = ContextNetwork(
+    nodes=tuple(_FIG3_RELABEL[n] for n in _FIG2_NODES),
+    edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2_EDGES],
+    required_non_edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2_NON_EDGES],
+)
 
-def _fig1() -> ContextNetwork:
-    return ContextNetwork(
+_NETWORKS = {
+    Figure.FIG1: ContextNetwork(
         nodes=("1", "2", "3", "D1", "D2"),
-        edges=_pairs((("1", "2"), ("1", "3"), ("2", "3"), ("1", "D1"), ("2", "D2"))),
-        required_non_edges=_pairs(
-            (("D1", "D2"), ("D1", "2"), ("D1", "3"), ("D2", "1"), ("D2", "3"))
-        ),
-    )
-
-
-def _fig2() -> ContextNetwork:
-    return ContextNetwork(
-        nodes=_FIG2_NODES,
-        edges=_pairs(_FIG2_EDGES),
-        required_non_edges=_pairs(_FIG2_NON_EDGES),
-    )
-
-
-def _fig3() -> ContextNetwork:
-    r = _FIG3_RELABEL
-    return ContextNetwork(
-        nodes=tuple(r[n] for n in _FIG2_NODES),
-        edges=_pairs(tuple((r[a], r[b]) for a, b in _FIG2_EDGES)),
-        required_non_edges=_pairs(tuple((r[a], r[b]) for a, b in _FIG2_NON_EDGES)),
-    )
-
-
-def _fig4() -> ContextNetwork:
-    base = _fig3()
-    added_edges = (
-        ("1,1", "0,0"), ("1,1", "0,1"), ("1,1", "1,0"),
-        ("1,1", "a,0"), ("1,1", "0,a"), ("1,1", "b,0"), ("1,1", "0,b"),
-        ("1,1", "f_NL"),
-        ("a,a", "b,0"), ("a,a", "0,b"),
-    )
-    added_non_edges = (("1,1", "a,a"), ("f_NL", "a,a"))
-    return ContextNetwork(
-        nodes=base.nodes + ("1,1", "a,a"),
-        edges=base.edges | _pairs(added_edges),
-        required_non_edges=base.required_non_edges | _pairs(added_non_edges),
-    )
-
-
-_BUILDERS = {Figure.FIG1: _fig1, Figure.FIG2: _fig2, Figure.FIG3: _fig3, Figure.FIG4: _fig4}
+        edges=(("1", "2"), ("1", "3"), ("2", "3"), ("1", "D1"), ("2", "D2")),
+        required_non_edges=(("D1", "D2"), ("D1", "2"), ("D1", "3"), ("D2", "1"), ("D2", "3")),
+    ),
+    Figure.FIG2: ContextNetwork(_FIG2_NODES, _FIG2_EDGES, _FIG2_NON_EDGES),
+    Figure.FIG3: _FIG3,
+    Figure.FIG4: ContextNetwork(
+        nodes=_FIG3.nodes + ("1,1", "a,a"),
+        edges=_FIG3.edges | {
+            ("1,1", "0,0"), ("1,1", "0,1"), ("1,1", "1,0"),
+            ("1,1", "a,0"), ("1,1", "0,a"), ("1,1", "b,0"), ("1,1", "0,b"),
+            ("1,1", "f_NL"),
+            ("a,a", "b,0"), ("a,a", "0,b"),
+        },
+        required_non_edges=_FIG3.required_non_edges | {("1,1", "a,a"), ("f_NL", "a,a")},
+    ),
+}
 
 
 def builtin_network(figure: Union[Figure, int]) -> ContextNetwork:
     """Return the orthogonality network of one of the built-in diagrams."""
-    fig = Figure(figure) if not isinstance(figure, Figure) else figure
-    return _BUILDERS[fig]()
+    return _NETWORKS[Figure(figure)]
 
 
 def validate_realization(
-    net: ContextNetwork,
-    realization: Union[Realization, Mapping[str, StateVector]],
+    net: ContextNetwork, assignment: Mapping[str, StateVector]
 ) -> list[Violation]:
     """Check a concrete vector assignment against a network's constraints.
 
@@ -192,7 +167,6 @@ def validate_realization(
         MissingAssignment: if some network node has no vector.
         DimensionMismatch: if the assigned vectors do not share a dimension.
     """
-    assignment = realization.assignment if isinstance(realization, Realization) else realization
     missing = [n for n in net.nodes if n not in assignment]
     if missing:
         raise MissingAssignment(f"no vector assigned to node(s): {missing}")
@@ -225,6 +199,6 @@ def network_from_json(doc: Mapping) -> ContextNetwork:
     """Rebuild a network from its JSON document."""
     return ContextNetwork(
         nodes=tuple(doc["nodes"]),
-        edges=_pairs(doc["edges"]),
-        required_non_edges=_pairs(doc.get("non_edges", ())),
+        edges=doc["edges"],
+        required_non_edges=doc.get("non_edges", ()),
     )

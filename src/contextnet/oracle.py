@@ -119,6 +119,7 @@ def sample_context(
     for name, value in (("seed", seed), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name}={value!r} must be an integer")
+    seed, trials = int(seed), int(trials)  # plain ints, so estimates serialise
     if trials < 1:
         raise EmptyTrials(f"trials={trials}; need at least 1")
     probs = np.array([born_probability(prep, o) for o in ctx.outcomes])

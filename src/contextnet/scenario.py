@@ -12,7 +12,6 @@ from typing import ClassVar, Mapping
 
 from .errors import OutOfDomain, require_interior
 from .hilbert import StateVector
-from .network import Realization
 
 
 @dataclass(frozen=True)
@@ -64,5 +63,6 @@ class Scenario:
         """Outcome label -> vector, matching the figure's node names."""
         return {label: getattr(self, attr) for label, attr in self.LABELS.items()}
 
-    def realization(self) -> Realization:
-        return Realization(assignment=self.vectors)
+    def realization(self) -> dict[str, StateVector]:
+        """The label -> vector assignment that ``validate_realization`` checks."""
+        return self.vectors

@@ -1,8 +1,16 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import contextnet
+from contextnet import hardy3
 from contextnet.cli import RESIDUAL_THRESHOLD, SweepSpec, main
 from contextnet.network import builtin_network, network_from_json
 
@@ -127,6 +135,29 @@ class TestSweep:
         # 0.1 is not exactly representable; 17 significant digits expose that
         assert row[0] == "0.10000000000000001"
 
+    @pytest.mark.parametrize("grid,lo,hi", [(3, 0.01, 0.99), (4, 0.2, 0.7),
+                                            (99, 0.01, 0.99), (5, 0.3, 0.3)])
+    def test_bytes_match_scalar_reference(self, tmp_path, capsys, grid, lo, hi):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{lo},{hi}",
+                     "--beta-range", f"{lo},{hi}", "--out", str(out)]) == 0
+        values = np.linspace(lo, hi, grid)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["alpha", "beta", "p_paradox"])
+        best = None
+        for a in values:
+            for b in values:
+                p = hardy3.predicted_paradox(float(a), float(b))
+                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
+                if best is None or p > best[0]:  # the first maximum wins every tie
+                    best = (p, a, b)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        assert capsys.readouterr().out == (
+            f"sweep {grid}x{grid}: max p_paradox={best[0]:.17g} "
+            f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}\n"
+        )
+
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "sweep.csv"
         assert main(["sweep", "--grid", "3", "--out", str(target)]) == 2
@@ -137,6 +168,12 @@ class TestSweep:
         assert main(["sweep", "--grid", "3", "--alpha-range", "0,0.5",
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_range_inside_unit_interval_but_out_of_domain_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "3", "--alpha-range", "1e-12,0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha=1e-12")
 
     def test_spec_validates_grid(self, tmp_path):
         with pytest.raises(ValueError):
@@ -195,3 +232,13 @@ class TestGraph:
         main(["graph", "--figure", "2"])
         doc = json.loads(capsys.readouterr().out)
         assert network_from_json(doc) == builtin_network(2)
+
+
+def test_python_m_contextnet_runs_the_cli():
+    src = str(Path(contextnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "contextnet", "graph", "--figure", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["nodes"]) == 5

@@ -126,6 +126,12 @@ class TestBornProbability:
         with pytest.raises(DimensionMismatch):
             born_probability(basis_vector(2, 0), basis_vector(3, 0))
 
+    @pytest.mark.parametrize("excess", [5e-11, 9e-11])
+    def test_accepts_every_norm_the_check_accepts(self, excess):
+        v = StateVector([1.0 + excess, 0.0, 0.0])
+        assert born_probability(v, v) == 1.0
+        assert born_probability(v, _normalized([1.0, 1.0, 0.0])) == pytest.approx(0.5)
+
 
 class TestClampProbability:
     def test_clamps_roundoff(self):
@@ -245,6 +251,20 @@ class TestCompleteContext:
         b = complete_context([f], 4)
         for u, v in zip(a, b):
             assert np.array_equal(u.components, v.components)
+
+    def test_completes_two_inputs_in_dimension_4(self):
+        u = _normalized([1.0, 1.0j, 0.0, 1.0])
+        v = _normalized([1.0, 0.0, 1.0, -1.0])
+        basis = complete_context([u, v], 4)
+        assert len(basis) == 4
+        assert basis[0] == u and basis[1] == v
+        m = np.array([b.components for b in basis])
+        assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
+        for b in basis[2:]:
+            lead = next(c for c in b.components if abs(c) > 1e-10)
+            assert lead.real > 0 and abs(lead.imag) < 1e-15
+        again = complete_context([u, v], 4)
+        assert all(np.array_equal(a.components, b.components) for a, b in zip(basis, again))
 
     def test_rejects_non_orthogonal_inputs(self):
         u = _normalized([1.0, 1.0])

@@ -10,7 +10,6 @@ from contextnet.hilbert import basis_vector
 from contextnet.network import (
     ContextNetwork,
     Figure,
-    Realization,
     builtin_network,
     network_from_json,
     network_to_json,
@@ -140,7 +139,7 @@ class TestValidateRealization:
         s = build_scenario(ScenarioParams(0.3, 0.7))
         # the scenario carries N_f, which Figure 2 does not mention
         assert "N_f" in s.vectors
-        assert validate_realization(builtin_network(2), Realization(s.vectors)) == []
+        assert validate_realization(builtin_network(2), s.vectors) == []
 
     @given(alpha=interior, beta=interior,
            phase_d1=st.floats(0, 6.28), phase_d2=st.floats(0, 6.28))

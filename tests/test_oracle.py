@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -127,6 +128,15 @@ class TestSampleContext:
     def test_estimate_is_python_float(self, central_context):
         for e in sample_context(basis_vector(3, 0), central_context, seed=4, trials=100):
             assert type(e.estimate) is float
+
+    def test_numpy_integer_seed_and_trials_serialise(self, center):
+        ctx = MeasurementContext(tuple(complete_context([center.f], 3)))
+        plain = sample_context(center.n_f, ctx, seed=3, trials=1000)
+        numpy_ints = sample_context(center.n_f, ctx, seed=np.int64(3), trials=np.uint32(1000))
+        assert numpy_ints == plain
+        for e in numpy_ints:
+            assert type(e.seed) is int and type(e.trials) is int
+            assert json.loads(json.dumps(e.to_json())) == e.to_json()
 
     def test_soundness_across_seeds(self, center):
         # all outcomes within 5 standard errors of the analytic value in at
