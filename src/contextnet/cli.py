@@ -7,14 +7,19 @@ Subcommands:
     graph   print a built-in orthogonality network as JSON
 
 Exit codes: 0 success, 1 a relation residual exceeded the threshold,
-2 bad input (unparseable file, out-of-domain parameters, unwritable path).
+2 bad input (unparseable file, out-of-domain parameters, unwritable path),
+141 standard output was closed before the output was written (128 + SIGPIPE,
+as a shell reports a process that a broken pipe killed).
+
+Run it as ``contextnet``, ``python -m contextnet`` or ``python -m contextnet.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,12 +29,15 @@ import numpy as np
 
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
-from .errors import ContextNetError
+from .errors import ContextNetError, require_interior
 from .network import builtin_network, network_to_json
 from .report import report_to_json
 
 #: A relation with residual at or above this fails the verify command.
 RESIDUAL_THRESHOLD = 1e-10
+
+#: Exit status when stdout's reader has gone: 128 + SIGPIPE, as a shell reports it.
+BROKEN_PIPE_EXIT = 141
 
 #: Scenario name -> module. Each module defines ``PARAMS``, ``build`` and
 #: ``verify_all``, looked up on the module at every call.
@@ -73,21 +81,39 @@ def cmd_verify(kind: str, params_path: str) -> int:
 
 
 def cmd_sweep(spec: SweepSpec) -> int:
+    """Write the paradox probability over the grid as CSV, one alpha row at a time.
+
+    Every grid value is checked before the file is opened, so bad input
+    leaves an existing file as it was. The checks run in the order a
+    cell-by-cell loop would meet them (the first alpha, every beta, the
+    other alphas), which fixes the ``error:`` text.
+    """
     n = spec.grid_points_per_axis
-    alphas = np.linspace(spec.alpha_range[0], spec.alpha_range[1], n)
+    alphas = np.linspace(spec.alpha_range[0], spec.alpha_range[1], n).tolist()
     betas = np.linspace(spec.beta_range[0], spec.beta_range[1], n)
-    # (p, alpha, beta). Rows run in lexicographic (alpha, beta) order, so the
-    # first maximum is also the lexicographically smallest one: ties keep it.
+    require_interior(alphas[0], "alpha")
+    for b in betas:
+        require_interior(b, "beta")
+    for a in alphas[1:]:
+        require_interior(a, "alpha")
+    beta_texts = [f"{b:.17g}" for b in betas.tolist()]
+    # (p, alpha, beta). Rows run in lexicographic (alpha, beta) order and
+    # argmax returns the first maximum of a row, so a strict > keeps the
+    # first maximum of the grid, which is the lexicographically smallest.
     best = (-1.0, 1.0, 1.0)
     with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta", "p_paradox"])
+        # The csv module's excel dialect would write the same bytes: it never
+        # quotes these fields, and it ends each row with \r\n.
+        fh.write("alpha,beta,p_paradox\r\n")
         for a in alphas:
-            for b in betas:
-                p = hardy3.predicted_paradox(float(a), float(b))
-                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
-                if p > best[0]:
-                    best = (p, float(a), float(b))
+            row = hardy3._paradox(a, betas)
+            alpha_text = f"{a:.17g}"
+            fh.write("".join([
+                f"{alpha_text},{b},{p:.17g}\r\n" for b, p in zip(beta_texts, row.tolist())
+            ]))
+            j = int(np.argmax(row))
+            if row[j] > best[0]:
+                best = (float(row[j]), a, float(betas[j]))
     print(
         f"sweep {n}x{n}: max p_paradox={best[0]:.17g} "
         f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {spec.output_path}"
@@ -120,7 +146,13 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared within the process.
+
+    Parsing does not change it: every ``parse_args`` call starts from the
+    declared defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="contextnet",
         description="Measurement-context networks: closed-form overlap relations, "
@@ -169,10 +201,25 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sample":
             return cmd_sample(args.scenario, args.params, args.seed, args.trials)
         return cmd_graph(args.figure)
+    except BrokenPipeError:
+        raise  # a closed stdout is not bad input; ``run`` handles it
     except (ContextNetError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    sys.exit(main())
+    """Process entry point: ``main`` on ``sys.argv``, then exit with its code."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        # The recipe of the ``signal`` docs: point stdout at devnull so that
+        # the interpreter's own flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(BROKEN_PIPE_EXIT)
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

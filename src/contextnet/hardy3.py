@@ -166,8 +166,16 @@ def predicted_paradox(alpha: float, beta: float) -> float:
     magnitudes, never on the phases. Maximal value 1/9 at (1/2, 1/2).
     Both denominators use the cancellation-free forms above.
     """
-    a = require_interior(alpha, "alpha")
-    b = require_interior(beta, "beta")
+    return _paradox(require_interior(alpha, "alpha"), require_interior(beta, "beta"))
+
+
+def _paradox(a, b):
+    """``predicted_paradox`` without the domain checks.
+
+    Takes floats or float64 arrays (the sweep passes one alpha and a whole
+    beta axis). Element-wise float64 ``+ - * /`` round exactly as Python
+    floats do, so an array element is bit-identical to the scalar value.
+    """
     return (a * b / ((1.0 - a) + a * (1.0 - b))) * (
         (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
     )

@@ -8,11 +8,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import contextnet
 from contextnet import hardy3
 from contextnet.cli import RESIDUAL_THRESHOLD, SweepSpec, main
+from contextnet.errors import BOUNDARY_MARGIN
 from contextnet.network import builtin_network, network_from_json
+
+
+def scalar_sweep(alphas, betas, out):
+    """The sweep's CSV bytes and summary line, computed one cell at a time."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["alpha", "beta", "p_paradox"])
+    best = None
+    for a in alphas:
+        for b in betas:
+            p = hardy3.predicted_paradox(float(a), float(b))
+            writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
+            if best is None or p > best[0]:  # the first maximum wins every tie
+                best = (p, a, b)
+    n = len(alphas)
+    summary = (f"sweep {n}x{n}: max p_paradox={best[0]:.17g} "
+               f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}\n")
+    return expected.getvalue().encode("utf-8"), summary
+
+
+def cli_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(contextnet.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -158,6 +186,53 @@ class TestSweep:
             f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}\n"
         )
 
+    @seed(20231018)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=st.integers(3, 25), data=st.data())
+    def test_bytes_match_scalar_reference_on_random_grids(self, tmp_path, capsys, grid, data):
+        value = st.floats(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN)
+        ranges = []
+        for _ in range(2):
+            lo = data.draw(value)
+            hi = data.draw(st.one_of(st.just(lo), st.floats(lo, 1.0 - BOUNDARY_MARGIN)))
+            ranges.append((lo, hi))
+        (alo, ahi), (blo, bhi) = ranges
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{alo},{ahi}",
+                     "--beta-range", f"{blo},{bhi}", "--out", str(out)]) == 0
+        csv_bytes, summary = scalar_sweep(
+            np.linspace(alo, ahi, grid), np.linspace(blo, bhi, grid), out)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
+
+    @pytest.mark.parametrize("alpha_range,beta_range,prefix", [
+        ("0.1,0.5", "1e-12,0.5", "error: beta=1e-12"),
+        ("1e-12,0.5", "1e-12,0.5", "error: alpha=1e-12"),
+        ("0.1,0.9999999999999", "0.1,0.5", "error: alpha=0.9999999999999"),
+        # a cell-by-cell loop meets every beta before the second alpha
+        ("0.1,0.9999999999999", "1e-12,0.5", "error: beta=1e-12"),
+    ])
+    def test_out_of_domain_error_names_the_first_bad_cell(
+            self, tmp_path, capsys, alpha_range, beta_range, prefix):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "3", "--alpha-range", alpha_range,
+                     "--beta-range", beta_range, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_out_of_domain_keeps_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous run\r\n")
+        assert main(["sweep", "--grid", "3", "--alpha-range", "1e-12,0.5",
+                     "--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous run\r\n"
+
+    def test_out_of_domain_creates_no_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "3", "--alpha-range", "1e-12,0.5",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "sweep.csv"
         assert main(["sweep", "--grid", "3", "--out", str(target)]) == 2
@@ -178,6 +253,23 @@ class TestSweep:
     def test_spec_validates_grid(self, tmp_path):
         with pytest.raises(ValueError):
             SweepSpec(2, (0.1, 0.9), (0.1, 0.9), tmp_path / "x.csv")
+
+
+class TestParser:
+    def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("sweep 5x5:")
+        assert main(["sweep", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("sweep 99x99:")
+
+    def test_valid_call_after_a_rejected_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--figure", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["graph", "--figure", "4"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["nodes"]) == 10
 
 
 class TestSample:
@@ -242,3 +334,23 @@ def test_python_m_contextnet_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["nodes"]) == 5
+
+
+def test_python_m_contextnet_cli_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "contextnet.cli", "graph", "--figure", "4"],
+                          capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["nodes"]) == 10
+
+
+def test_closed_stdout_exits_141_without_error_line():
+    r, w = os.pipe()
+    os.close(r)  # no reader before the child starts: its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "contextnet", "graph", "--figure", "4"],
+                              stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=cli_env(), timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
