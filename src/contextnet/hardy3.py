@@ -36,6 +36,9 @@ from .hilbert import StateVector, basis_vector, inner, orthogonal_complement
 from .report import Relation, RelationReport, make_relation
 from .scenario import Params, Scenario
 
+#: The central context |1>, |2>, |3>, shared by every built scenario (read-only).
+BASIS = tuple(basis_vector(3, i) for i in range(3))
+
 
 @dataclass(frozen=True)
 class ScenarioParams(Params):
@@ -78,12 +81,13 @@ class HardyScenario(Scenario):
 def build_scenario(params: ScenarioParams) -> HardyScenario:
     """Construct all nine vectors from the scenario parameters.
 
-    D1 and D2 are written down directly; S1, S2, f and N_f come from
-    orthogonal complements with the canonical phase, so the construction is
-    deterministic and independent of the predicted_* closed forms.
+    The central context is ``BASIS``; D1 and D2 are written down directly;
+    S1, S2, f and N_f come from orthogonal complements with the canonical
+    phase, so the construction is deterministic and independent of the
+    predicted_* closed forms.
     """
     a, b = params.alpha, params.beta
-    k1, k2, k3 = (basis_vector(3, i) for i in range(3))
+    k1, k2, k3 = BASIS
     d1 = StateVector(
         [0.0, math.sqrt(1.0 - a), cmath.exp(1j * params.phase_d1) * math.sqrt(a)]
     )

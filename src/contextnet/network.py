@@ -68,15 +68,21 @@ def _pairs(raw) -> frozenset[Pair]:
 class ContextNetwork:
     """Labeled orthogonality graph with mandatory non-orthogonality pairs.
 
-    Pairs may be given in any order and container; construction stores them
-    as frozensets of sorted pairs.
+    Nodes may be given in any sequence and are stored as a tuple. Pairs may
+    be given in any order and container; construction stores them as
+    frozensets of sorted pairs, and once more as sorted tuples
+    (``sorted_edges``, ``sorted_non_edges``) in the order validation and
+    serialization walk them.
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[Pair]
     required_non_edges: frozenset[Pair] = field(default_factory=frozenset)
+    sorted_edges: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
+    sorted_non_edges: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node labels")
         object.__setattr__(self, "edges", _pairs(self.edges))
@@ -88,6 +94,8 @@ class ContextNetwork:
         overlap = self.edges & self.required_non_edges
         if overlap:
             raise ValueError(f"pairs marked both orthogonal and non-orthogonal: {sorted(overlap)}")
+        object.__setattr__(self, "sorted_edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "sorted_non_edges", tuple(sorted(self.required_non_edges)))
 
     def degree(self, node: str) -> int:
         return sum(1 for e in self.edges if node in e)
@@ -175,11 +183,11 @@ def validate_realization(
         raise DimensionMismatch(f"assignment mixes dimensions {sorted(dims)}")
 
     violations: list[Violation] = []
-    for a, b in sorted(net.edges):
+    for a, b in net.sorted_edges:
         overlap = abs(inner(assignment[a], assignment[b]))
         if overlap >= ORTH_TOL:
             violations.append(Violation("edge", (a, b), overlap))
-    for a, b in sorted(net.required_non_edges):
+    for a, b in net.sorted_non_edges:
         overlap = abs(inner(assignment[a], assignment[b]))
         if overlap < ORTH_TOL:
             violations.append(Violation("non_edge", (a, b), overlap))
@@ -190,8 +198,8 @@ def network_to_json(net: ContextNetwork) -> dict:
     """Serialize a network to the plain-JSON document schema."""
     return {
         "nodes": list(net.nodes),
-        "edges": [list(p) for p in sorted(net.edges)],
-        "non_edges": [list(p) for p in sorted(net.required_non_edges)],
+        "edges": [list(p) for p in net.sorted_edges],
+        "non_edges": [list(p) for p in net.sorted_non_edges],
     }
 
 

@@ -42,6 +42,11 @@ from .scenario import Params, Scenario
 #: Second Schmidt coefficient above this marks a state as entangled.
 ENTANGLEMENT_TOL = 1e-10
 
+#: The local kets |0>, |1> and their products |00>, |01>, |10>, |11>, in
+#: product-basis order, shared by every built scenario (read-only).
+BASIS = (basis_vector(2, 0), basis_vector(2, 1))
+PRODUCT_BASIS = tuple(tensor(u, v) for u in BASIS for v in BASIS)
+
 
 @dataclass(frozen=True)
 class LocalParams(Params):
@@ -85,17 +90,17 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
 
     The relative phase sits on the |0> component of |a| so that
     |<a|0>|^2 equals a2 exactly; |b> and the two derived dimension-4
-    outcomes inherit the canonical complement phase.
+    outcomes inherit the canonical complement phase. The fixed kets come
+    from ``BASIS`` and ``PRODUCT_BASIS``.
     """
     a2 = params.a2
-    k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
+    k0, k1 = BASIS
+    k00, k01, k10, k11 = PRODUCT_BASIS
     ka = StateVector(
         [cmath.exp(1j * params.phase_a) * math.sqrt(a2), math.sqrt(1.0 - a2)]
     )
     kb = orthogonal_complement([ka], 2)
 
-    k00, k01 = tensor(k0, k0), tensor(k0, k1)
-    k10, k11 = tensor(k1, k0), tensor(k1, k1)
     ka0, k0a = tensor(ka, k0), tensor(k0, ka)
     kb0, k0b = tensor(kb, k0), tensor(k0, kb)
     kaa = tensor(ka, ka)

@@ -7,6 +7,7 @@ dataclass fields on these bases and writes only its builder and relations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Mapping
 
@@ -36,7 +37,15 @@ class Params:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Params":
-        """Parameters from a JSON object; ValueError on unknown or missing keys."""
+        """Parameters from a JSON object whose values are numbers.
+
+        Raises:
+            ValueError: if ``doc`` is not a mapping, has unknown or missing
+                keys, or has a value that is not a real number (a bool or a
+                string is not one), naming the key.
+        """
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"parameters must be a JSON object, got {type(doc).__name__}")
         names = [f.name for f in fields(cls)]
         unknown = set(doc) - set(names)
         if unknown:
@@ -44,7 +53,15 @@ class Params:
         required = [f.name for f in fields(cls) if f.default is MISSING]
         if any(name not in doc for name in required):
             raise ValueError(f"parameters require {', '.join(map(repr, required))}")
-        return cls(**{name: float(doc[name]) for name in names if name in doc})
+        values = {name: doc[name] for name in names if name in doc}
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}={value!r} must be a number")
+            try:
+                values[name] = float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is an integer too large for a float") from None
+        return cls(**values)
 
 
 class Scenario:

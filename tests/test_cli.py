@@ -106,6 +106,35 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("scenario,text,named", [
+    ("nonlocal4", '{"a2": 0.5, "phase_a": true}', "error: phase_a=True "),
+    ("hardy3", '{"alpha": "0.5", "beta": 0.5}', "error: alpha='0.5' "),
+    ("nonlocal4", '{"a2": 0.5, "phase_a": null}', "error: phase_a=None "),
+    ("nonlocal4", '{"a2": 0.5, "phase_a": 1' + "0" * 400 + "}", "error: phase_a "),
+    ("hardy3", "[0.5]", "error: parameters must be a JSON object"),
+    ("hardy3", "0.5", "error: parameters must be a JSON object"),
+], ids=["bool", "string", "null", "huge-int", "array", "number"])
+def test_non_numeric_params_exit_2(tmp_path, capsys, command, scenario, text, named):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    argv = [command, scenario, "--params", str(path)]
+    if command == "sample":
+        argv += ["--seed", "1", "--trials", "100"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(named)
+
+
+def test_integer_params_are_accepted_as_floats(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text('{"alpha": 0.5, "beta": 0.5, "phase_d1": 0, "phase_d2": 1}')
+    assert main(["verify", "hardy3", "--params", str(path)]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params == {"alpha": 0.5, "beta": 0.5, "phase_d1": 0.0, "phase_d2": 1.0}
+    assert all(type(v) is float for v in params.values())
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
 @pytest.mark.parametrize("phase", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_phase_exits_2(tmp_path, capsys, command, phase):
     path = tmp_path / "phase.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import (
+    BASIS,
     HardyScenario,
     ScenarioParams,
     build_scenario,
@@ -73,6 +74,14 @@ class TestBuildScenario:
         assert np.array_equal(center.k1.components, [1, 0, 0])
         assert np.array_equal(center.k2.components, [0, 1, 0])
         assert np.array_equal(center.k3.components, [0, 0, 1])
+
+    def test_shared_basis_kets_are_write_protected(self, center):
+        assert (center.k1, center.k2, center.k3) == BASIS
+        for ket in BASIS:
+            assert not ket.components.flags.writeable
+            with pytest.raises(ValueError):
+                ket.components[0] = 2.0
+        assert np.array_equal(BASIS[0].components, [1, 0, 0])
 
     def test_defining_magnitudes(self):
         s = build_scenario(ScenarioParams(0.25, 0.5))

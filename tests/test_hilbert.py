@@ -59,6 +59,17 @@ class TestStateVector:
         assert hash(u) == hash(v)
         assert u != basis_vector(3, 1)
 
+    @pytest.mark.parametrize("a,b", [
+        ([0.0, 1.0], [-0.0, 1.0]),
+        ([complex(1.0, 0.0), 0.0], [complex(1.0, -0.0), 0.0]),
+        ([complex(-0.0, -0.0), 1.0], [0.0, 1.0]),
+    ])
+    def test_signed_zeros_equal_and_hash_alike(self, a, b):
+        u, v = StateVector(a), StateVector(b)
+        assert u == v
+        assert hash(u) == hash(v)
+        assert len({u, v}) == 1
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             StateVector([])
@@ -164,6 +175,19 @@ class TestTensor:
         lhs = inner(tensor(a, b), tensor(c, d))
         rhs = inner(a, c) * inner(b, d)
         assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @given(data=st.data())
+    def test_bits_equal_np_kron(self, dims, data):
+        # Raw components, signed zeros and subnormals included: the broadcast
+        # outer product must give np.kron's bytes, not merely close values.
+        parts = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])
+        u, v = (
+            np.array(data.draw(st.lists(st.builds(complex, parts, parts), min_size=d, max_size=d)))
+            for d in dims
+        )
+        expected = np.kron(u, v).tobytes()
+        assert tensor(StateVector(u), StateVector(v)).components.tobytes() == expected
 
     @given(u=_vectors(2), v=_vectors(3))
     def test_norm_multiplicative(self, u, v):

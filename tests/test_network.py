@@ -1,15 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextnet.errors import DimensionMismatch, MissingAssignment
 from contextnet.hardy3 import ScenarioParams, build_scenario
-from contextnet.hilbert import basis_vector
+from contextnet.hilbert import ORTH_TOL, basis_vector, inner
 from contextnet.network import (
     ContextNetwork,
     Figure,
+    Violation,
     builtin_network,
     network_from_json,
     network_to_json,
@@ -101,6 +103,17 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             ContextNetwork(nodes=("x", "x"), edges=frozenset())
 
+    def test_list_of_nodes_equals_tuple_built_network(self):
+        from_list = ContextNetwork(["x", "y", "z"], [("y", "x")], [("z", "x")])
+        from_tuple = ContextNetwork(("x", "y", "z"), (("x", "y"),), (("x", "z"),))
+        assert from_list.nodes == ("x", "y", "z")
+        assert from_list == from_tuple
+
+    def test_list_of_nodes_is_hashable(self):
+        net = ContextNetwork(["x", "y"], [("x", "y")])
+        assert hash(net) == hash(ContextNetwork(("x", "y"), [("x", "y")]))
+        assert len({net, builtin_network(1)}) == 2
+
 
 class TestValidateRealization:
     def test_hardy_center_is_faithful(self):
@@ -154,6 +167,49 @@ class TestValidateRealization:
         s = build_nonlocal(LocalParams(a2, phase_a))
         assert validate_realization(builtin_network(3), s.realization()) == []
         assert validate_realization(builtin_network(4), s.realization()) == []
+
+
+def _reference_violations(net, assignment):
+    """Violations from a plain loop over sorted pairs and ``inner``."""
+    found = []
+    for kind, pairs, broken in (
+        ("edge", net.edges, lambda x: x >= ORTH_TOL),
+        ("non_edge", net.required_non_edges, lambda x: x < ORTH_TOL),
+    ):
+        for a, b in sorted(pairs):
+            overlap = abs(inner(assignment[a], assignment[b]))
+            if broken(overlap):
+                found.append(Violation(kind, (a, b), overlap))
+    return found
+
+
+class TestValidateAgainstReference:
+    """Same violations, overlaps bit for bit, as the reference loop."""
+
+    def _check(self, net, assignment):
+        got = validate_realization(net, assignment)
+        want = _reference_violations(net, assignment)
+        assert [(v.kind, v.pair) for v in got] == [(v.kind, v.pair) for v in want]
+        assert [v.overlap.hex() for v in got] == [v.overlap.hex() for v in want]
+        return got
+
+    def test_seeded_realizations_and_swaps(self):
+        rng = np.random.default_rng(20261018)
+        violated = 0
+        for _ in range(100):
+            x, y = rng.uniform(0.01, 0.99, 2)
+            ph = rng.uniform(0.0, 6.28, 2)
+            cases = [
+                (builtin_network(2), build_scenario(ScenarioParams(x, y, *ph)).realization()),
+                (builtin_network(4), build_nonlocal(LocalParams(x, ph[0])).realization()),
+            ]
+            for net, realization in cases:
+                assert self._check(net, realization) == []
+                swapped = dict(realization)
+                a, b = (str(n) for n in rng.choice(net.nodes, size=2, replace=False))
+                swapped[a], swapped[b] = realization[b], realization[a]
+                violated += len(self._check(net, swapped))
+        assert violated > 0
 
 
 class TestNetworkJson:

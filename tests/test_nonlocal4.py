@@ -9,6 +9,8 @@ from contextnet.errors import DimensionMismatch, OutOfDomain
 from contextnet.hardy3 import predicted_paradox
 from contextnet.hilbert import StateVector, inner, tensor
 from contextnet.nonlocal4 import (
+    BASIS,
+    PRODUCT_BASIS,
     LocalParams,
     build_nonlocal,
     aa_decomposition_residual,
@@ -62,6 +64,16 @@ class TestBuildNonlocal:
         assert center.ka0 == tensor(center.ka, center.k0)
         assert center.k0b == tensor(center.k0, center.kb)
         assert np.array_equal(center.k00.components, [1, 0, 0, 0])
+
+    def test_shared_kets_are_write_protected(self, center):
+        assert (center.k0, center.k1) == BASIS
+        assert (center.k00, center.k01, center.k10, center.k11) == PRODUCT_BASIS
+        for i, ket in enumerate(PRODUCT_BASIS):
+            assert np.array_equal(ket.components, np.eye(4)[i])
+        for ket in BASIS + PRODUCT_BASIS:
+            assert not ket.components.flags.writeable
+            with pytest.raises(ValueError):
+                ket.components[0] = 2.0
 
     def test_derived_orthogonalities(self, center):
         for u in (center.kb0, center.k0b, center.k11):
