@@ -31,10 +31,6 @@ class IncompleteContext(ContextNetError):
     """Outcome vectors do not form a complete orthonormal measurement basis."""
 
 
-class EmptyChain(ContextNetError):
-    """A sequential measurement needs at least one projection step."""
-
-
 class EmptyTrials(ContextNetError):
     """Sampling needs a positive number of trials."""
 

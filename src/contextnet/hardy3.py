@@ -10,7 +10,7 @@ parameters and two phases:
 so alpha = |<D1|3>|^2 and beta = |<D2|3>|^2. Everything else is derived
 purely from orthogonality, never from the closed-form coefficient
 relations under test (that separation is what makes the vectors an
-independent oracle for the formulas):
+independent oracle for the formulas), as ``HardyScenario.DERIVED`` lists:
 
     S1  completes the context {1, D1, S1}
     S2  completes the context {2, D2, S2}
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, inner, orthogonal_complement
-from .report import Relation, RelationReport, make_relation
+from .hilbert import StateVector, basis_vector, inner
+from .report import RelationReport
 from .scenario import Params, Scenario
 
 #: The central context |1>, |2>, |3>, shared by every built scenario (read-only).
@@ -64,6 +64,13 @@ class HardyScenario(Scenario):
         "S1": "s1", "S2": "s2",
         "f": "f", "N_f": "n_f",
     }
+    DIM = 3
+    DERIVED = (
+        ("S1", ("1", "D1")),
+        ("S2", ("2", "D2")),
+        ("f", ("S1", "S2")),
+        ("N_f", ("D1", "D2")),
+    )
     SAMPLED = ("N_f", "f")
 
     params: ScenarioParams
@@ -82,9 +89,9 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     """Construct all nine vectors from the scenario parameters.
 
     The central context is ``BASIS``; D1 and D2 are written down directly;
-    S1, S2, f and N_f come from orthogonal complements with the canonical
-    phase, so the construction is deterministic and independent of the
-    predicted_* closed forms.
+    S1, S2, f and N_f follow from ``DERIVED`` with the canonical phase, so
+    the construction is deterministic and independent of the predicted_*
+    closed forms.
     """
     a, b = params.alpha, params.beta
     k1, k2, k3 = BASIS
@@ -94,18 +101,12 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     d2 = StateVector(
         [math.sqrt(1.0 - b), 0.0, cmath.exp(1j * params.phase_d2) * math.sqrt(b)]
     )
-    s1 = orthogonal_complement([k1, d1], 3)
-    s2 = orthogonal_complement([k2, d2], 3)
-    f = orthogonal_complement([s1, s2], 3)
-    n_f = orthogonal_complement([d1, d2], 3)
-    return HardyScenario(params, k1, k2, k3, d1, d2, s1, s2, f, n_f)
+    return HardyScenario.build(params, {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2})
 
 
 def chain_rule_residual(s: HardyScenario) -> float:
-    """|<D1|D2> - <D1|3><3|D2>|: the overlap factorizes through |3>."""
-    direct = inner(s.d1, s.d2)
-    via_center = inner(s.d1, s.k3) * inner(s.k3, s.d2)
-    return abs(direct - via_center)
+    """|<D1|D2> - <D1|3><3|D2>|: the overlap factorizes through |3> (row eq3)."""
+    return verify_all(s).relation("eq3").residual
 
 
 def f_expansion_residual(s: HardyScenario) -> float:
@@ -126,19 +127,11 @@ def f_expansion_residual(s: HardyScenario) -> float:
 def nf_relation_residual(s: HardyScenario) -> float:
     """Largest violation of the three complex relations tying N_f to |3>.
 
-    Checks <f|N_f> = -<f|3><3|N_f> and the two coefficient relations
-    <D2|1><1|N_f> = -<D2|3><3|N_f>, <D1|2><2|N_f> = -<D1|3><3|N_f>.
+    Reads rows eq9, <f|N_f> = -<f|3><3|N_f>, and eq10a/eq10b,
+    <D2|1><1|N_f> = -<D2|3><3|N_f> and <D1|2><2|N_f> = -<D1|3><3|N_f>.
     """
-    r_f = abs(inner(s.f, s.n_f) + inner(s.f, s.k3) * inner(s.k3, s.n_f))
-    r_1 = abs(
-        inner(s.d2, s.k1) * inner(s.k1, s.n_f)
-        + inner(s.d2, s.k3) * inner(s.k3, s.n_f)
-    )
-    r_2 = abs(
-        inner(s.d1, s.k2) * inner(s.k2, s.n_f)
-        + inner(s.d1, s.k3) * inner(s.k3, s.n_f)
-    )
-    return max(r_f, r_1, r_2)
+    report = verify_all(s)
+    return max(report.relation(rel_id).residual for rel_id in ("eq9", "eq10a", "eq10b"))
 
 
 def predicted_nf3(alpha: float, beta: float) -> float:
@@ -195,42 +188,22 @@ def verify_all(s: HardyScenario) -> RelationReport:
     """
     a, b = s.params.alpha, s.params.beta
     nf3 = predicted_nf3(a, b)
-
-    i_d1_3 = inner(s.d1, s.k3)
-    i_3_d2 = inner(s.k3, s.d2)
-    i_f_3 = inner(s.f, s.k3)
-    i_3_nf = inner(s.k3, s.n_f)
-    i_f_d1 = inner(s.f, s.d1)
-    i_f_d2 = inner(s.f, s.d2)
-
-    relations: list[Relation] = [
-        make_relation("eq3", i_d1_3 * i_3_d2, inner(s.d1, s.d2)),
-        make_relation("eq6", 0.0, f_expansion_residual(s)),
-        make_relation("eq9", -i_f_3 * i_3_nf, inner(s.f, s.n_f)),
-        make_relation(
-            "eq10a",
-            -inner(s.d2, s.k3) * i_3_nf,
-            inner(s.d2, s.k1) * inner(s.k1, s.n_f),
-        ),
-        make_relation(
-            "eq10b",
-            -i_d1_3 * i_3_nf,
-            inner(s.d1, s.k2) * inner(s.k2, s.n_f),
-        ),
-        make_relation("eq11a", (b / (1.0 - b)) * nf3, abs(inner(s.k1, s.n_f)) ** 2),
-        make_relation("eq11b", (a / (1.0 - a)) * nf3, abs(inner(s.k2, s.n_f)) ** 2),
-        make_relation("eq12", nf3, abs(i_3_nf) ** 2),
-        make_relation("eq13a", i_f_d1 * i_d1_3, i_f_3),
-        make_relation("eq13b", i_f_d2 * inner(s.d2, s.k3), i_f_3),
-        make_relation(
-            "eq14",
-            1.0,
-            abs(i_f_d1) ** 2 + abs(i_f_d2) ** 2 - abs(i_f_3) ** 2,
-        ),
-        make_relation("eq15", predicted_f3(a, b), abs(i_f_3) ** 2),
-        make_relation("eq16", predicted_paradox(a, b), abs(inner(s.f, s.n_f)) ** 2),
-    ]
-    return RelationReport(params=s.params.to_dict(), relations=tuple(relations))
+    o = s.overlaps()
+    return s.report(
+        ("eq3", o["D1", "3"] * o["3", "D2"], o["D1", "D2"]),
+        ("eq6", 0.0, f_expansion_residual(s)),
+        ("eq9", -o["f", "3"] * o["3", "N_f"], o["f", "N_f"]),
+        ("eq10a", -o["D2", "3"] * o["3", "N_f"], o["D2", "1"] * o["1", "N_f"]),
+        ("eq10b", -o["D1", "3"] * o["3", "N_f"], o["D1", "2"] * o["2", "N_f"]),
+        ("eq11a", (b / (1.0 - b)) * nf3, abs(o["1", "N_f"]) ** 2),
+        ("eq11b", (a / (1.0 - a)) * nf3, abs(o["2", "N_f"]) ** 2),
+        ("eq12", nf3, abs(o["3", "N_f"]) ** 2),
+        ("eq13a", o["f", "D1"] * o["D1", "3"], o["f", "3"]),
+        ("eq13b", o["f", "D2"] * o["D2", "3"], o["f", "3"]),
+        ("eq14", 1.0, abs(o["f", "D1"]) ** 2 + abs(o["f", "D2"]) ** 2 - abs(o["f", "3"]) ** 2),
+        ("eq15", predicted_f3(a, b), abs(o["f", "3"]) ** 2),
+        ("eq16", predicted_paradox(a, b), abs(o["f", "N_f"]) ** 2),
+    )
 
 
 #: The names the CLI looks up on every scenario module.

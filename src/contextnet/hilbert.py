@@ -3,8 +3,8 @@
 Everything operates on immutable complex vectors in fixed finite dimension
 (2 to 4 in practice) using double precision with explicit tolerances:
 
-* ``NORM_TOL`` (1e-12) for ``StateVector.is_normalized``,
-* ``NORM_CHECK_TOL`` (1e-10) for the unit-norm checks on function inputs,
+* ``NORM_CHECK_TOL`` (1e-10) for ``StateVector.is_normalized``, the one
+  unit-norm check,
 * ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions,
 * ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, NotNormalized
 
-NORM_TOL = 1e-12
 ORTH_TOL = 1e-10
 PHASE_CANON = "first-nonzero-real-positive"
 
-#: Norm deviation beyond which inputs labeled "normalized" are rejected.
+#: Norm deviation beyond which a vector is not unit norm (``is_normalized``).
 NORM_CHECK_TOL = 1e-10
 
 #: Spill outside [0, 1] that ``clamp_probability`` absorbs. Two inputs that
@@ -65,7 +64,7 @@ class StateVector:
         return float(np.linalg.norm(self._components))
 
     def is_normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= NORM_TOL
+        return abs(self.norm() - 1.0) <= NORM_CHECK_TOL
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
@@ -130,7 +129,7 @@ def born_probability(prep: StateVector, outcome: StateVector) -> float:
     """
     overlap = inner(outcome, prep)  # checks the dimensions first
     for name, vec in (("prep", prep), ("outcome", outcome)):
-        if abs(vec.norm() - 1.0) > NORM_CHECK_TOL:
+        if not vec.is_normalized():
             raise NotNormalized(f"{name} has norm {vec.norm()!r}, expected 1")
     return clamp_probability(abs(overlap) ** 2)
 
@@ -219,7 +218,7 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVect
     vecs = list(vectors)
     null = _null_space(vecs, dim)
     for i, v in enumerate(vecs):
-        if abs(v.norm() - 1.0) > NORM_CHECK_TOL:
+        if not v.is_normalized():
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
         if any(abs(np.vdot(u.components, v.components)) > ORTH_TOL for u in vecs[:i]):
             raise DegenerateSpan("inputs are not mutually orthogonal")

@@ -97,9 +97,6 @@ class ContextNetwork:
         object.__setattr__(self, "sorted_edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "sorted_non_edges", tuple(sorted(self.required_non_edges)))
 
-    def degree(self, node: str) -> int:
-        return sum(1 for e in self.edges if node in e)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -201,12 +198,3 @@ def network_to_json(net: ContextNetwork) -> dict:
         "edges": [list(p) for p in net.sorted_edges],
         "non_edges": [list(p) for p in net.sorted_non_edges],
     }
-
-
-def network_from_json(doc: Mapping) -> ContextNetwork:
-    """Rebuild a network from its JSON document."""
-    return ContextNetwork(
-        nodes=tuple(doc["nodes"]),
-        edges=doc["edges"],
-        required_non_edges=doc.get("non_edges", ()),
-    )

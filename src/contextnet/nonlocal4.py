@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, tensor
-from .report import Relation, RelationReport, make_relation
+from .report import RelationReport
 from .scenario import Params, Scenario
 
 #: Second Schmidt coefficient above this marks a state as entangled.
@@ -65,6 +65,11 @@ class NonlocalScenario(Scenario):
         "a,0": "ka0", "0,a": "k0a", "b,0": "kb0", "0,b": "k0b",
         "a,a": "kaa", "f_NL": "f_nl", "N_f": "n_f",
     }
+    DIM = 4
+    DERIVED = (
+        ("f_NL", ("b,0", "0,b", "1,1")),
+        ("N_f", ("a,0", "0,a", "1,1")),
+    )
     SAMPLED = ("N_f", "a,a")
 
     params: LocalParams
@@ -89,7 +94,7 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     """Construct the full two-qubit scenario from the local parameters.
 
     The relative phase sits on the |0> component of |a| so that
-    |<a|0>|^2 equals a2 exactly; |b> and the two derived dimension-4
+    |<a|0>|^2 equals a2 exactly; |b> and the two ``DERIVED`` dimension-4
     outcomes inherit the canonical complement phase. The fixed kets come
     from ``BASIS`` and ``PRODUCT_BASIS``.
     """
@@ -100,17 +105,13 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
         [cmath.exp(1j * params.phase_a) * math.sqrt(a2), math.sqrt(1.0 - a2)]
     )
     kb = orthogonal_complement([ka], 2)
-
-    ka0, k0a = tensor(ka, k0), tensor(k0, ka)
-    kb0, k0b = tensor(kb, k0), tensor(k0, kb)
-    kaa = tensor(ka, ka)
-
-    f_nl = orthogonal_complement([kb0, k0b, k11], 4)
-    n_f = orthogonal_complement([ka0, k0a, k11], 4)
-    return NonlocalScenario(
-        params, k0, k1, ka, kb,
-        k00, k01, k10, k11, ka0, k0a, kb0, k0b, kaa, f_nl, n_f,
-    )
+    seeds = {
+        "0,0": k00, "0,1": k01, "1,0": k10, "1,1": k11,
+        "a,0": tensor(ka, k0), "0,a": tensor(k0, ka),
+        "b,0": tensor(kb, k0), "0,b": tensor(k0, kb),
+        "a,a": tensor(ka, ka),
+    }
+    return NonlocalScenario.build(params, seeds, k0=k0, k1=k1, ka=ka, kb=kb)
 
 
 def predicted_fnl_nf(a2: float) -> float:
@@ -181,18 +182,14 @@ def is_entangled(v: StateVector) -> bool:
 def verify_all(s: NonlocalScenario) -> RelationReport:
     """Check the product-space identities against the raw vectors."""
     a2 = s.params.a2
-    relations: list[Relation] = [
-        make_relation("eq17", predicted_fnl_nf(a2), abs(inner(s.f_nl, s.n_f)) ** 2),
-        make_relation("eq18", 0.0, aa_decomposition_residual(s)),
-        make_relation("eq19", predicted_faa(a2), abs(inner(s.f_nl, s.kaa)) ** 2),
-        make_relation(
-            "eq20",
-            inner(s.kaa, s.f_nl) * inner(s.f_nl, s.n_f),
-            inner(s.kaa, s.n_f),
-        ),
-        make_relation("eq21", predicted_aa_nf(a2), abs(inner(s.kaa, s.n_f)) ** 2),
-    ]
-    return RelationReport(params=s.params.to_dict(), relations=tuple(relations))
+    o = s.overlaps()
+    return s.report(
+        ("eq17", predicted_fnl_nf(a2), abs(o["f_NL", "N_f"]) ** 2),
+        ("eq18", 0.0, aa_decomposition_residual(s)),
+        ("eq19", predicted_faa(a2), abs(o["f_NL", "a,a"]) ** 2),
+        ("eq20", o["a,a", "f_NL"] * o["f_NL", "N_f"], o["a,a", "N_f"]),
+        ("eq21", predicted_aa_nf(a2), abs(o["a,a", "N_f"]) ** 2),
+    )
 
 
 #: The names the CLI looks up on every scenario module.

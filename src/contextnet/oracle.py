@@ -1,4 +1,4 @@
-"""Statistical cross-checks: sequential projections and Born-rule sampling.
+"""Statistical cross-check: Born-rule sampling of a measurement context.
 
 Sampling uses numpy's Philox bit generator (counter-based, seedable), so
 every estimate is reproducible from its recorded seed and the generator
@@ -11,17 +11,19 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyChain, EmptyTrials, IncompleteContext
+from .errors import EmptyTrials, IncompleteContext
 from .hardy3 import ScenarioParams, build_scenario
 from .hilbert import ORTH_TOL, StateVector, born_probability, complete_context, inner
 from .nonlocal4 import LocalParams, build_nonlocal
 from .scenario import Scenario
 
 RNG_NAME = "philox4x64"
+
+#: The largest trial count numpy's multinomial sampler takes (a C int64).
+MAX_TRIALS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class MeasurementContext:
             raise IncompleteContext(
                 f"{len(outcomes)} outcomes cannot span a dimension-{dim} space"
             )
+        if not all(o.is_normalized() for o in outcomes):
+            raise IncompleteContext("outcomes are not unit vectors")
         for i, u in enumerate(outcomes):
             for v in outcomes[i + 1:]:
                 if abs(inner(u, v)) >= ORTH_TOL:
@@ -76,32 +80,6 @@ class SampleEstimate:
         }
 
 
-def sequential_probability(prep: StateVector, chain: Sequence[StateVector]) -> float:
-    """Probability of a chain of projective detections after preparing ``prep``.
-
-    Returns the product |<c1|prep>|^2 * |<c2|c1>|^2 * ... over consecutive
-    pairs. For rank-1 projections on pure states the conditional state
-    after each detection is the detected outcome itself, so the product of
-    plain Born factors is the exact sequential probability.
-
-    Raises:
-        EmptyChain: if ``chain`` is empty.
-        DimensionMismatch: if any vector has a different dimension.
-    """
-    steps = list(chain)
-    if not steps:
-        raise EmptyChain("need at least one projection step")
-    for v in steps:
-        if v.dim != prep.dim:
-            raise DimensionMismatch(f"chain vector of dimension {v.dim}, prep {prep.dim}")
-    p = 1.0
-    current = prep
-    for outcome in steps:
-        p *= abs(inner(outcome, current)) ** 2
-        current = outcome
-    return p
-
-
 def sample_context(
     prep: StateVector, ctx: MeasurementContext, seed: int, trials: int
 ) -> list[SampleEstimate]:
@@ -115,6 +93,7 @@ def sample_context(
     Raises:
         TypeError: if ``seed`` or ``trials`` is not an integer (a bool is not).
         EmptyTrials: if ``trials`` < 1.
+        ValueError: if ``trials`` > ``MAX_TRIALS``.
     """
     for name, value in (("seed", seed), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -122,6 +101,8 @@ def sample_context(
     seed, trials = int(seed), int(trials)  # plain ints, so estimates serialise
     if trials < 1:
         raise EmptyTrials(f"trials={trials}; need at least 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials={trials}; the sampler takes at most {MAX_TRIALS}")
     probs = np.array([born_probability(prep, o) for o in ctx.outcomes])
     probs = probs / probs.sum()  # exact simplex point for the sampler
     rng = np.random.Generator(np.random.Philox(seed))

@@ -43,15 +43,6 @@ class RelationReport:
         raise KeyError(rel_id)
 
 
-def make_relation(rel_id: str, formula_value: Scalar, direct_value: Scalar) -> Relation:
-    return Relation(
-        id=rel_id,
-        formula_value=formula_value,
-        direct_value=direct_value,
-        residual=abs(formula_value - direct_value),
-    )
-
-
 def _scalar_to_json(x: Scalar) -> Union[float, list[float]]:
     if isinstance(x, complex):
         return [x.real, x.imag]

@@ -1,7 +1,8 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
 A scenario module declares its parameters and its outcome vectors as frozen
-dataclass fields on these bases and writes only its builder and relations.
+dataclass fields on these bases, its derived vectors as a ``DERIVED`` table
+and its relations as rows over labelled overlaps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Mapping
 
 from .errors import OutOfDomain, require_interior
-from .hilbert import StateVector
+from .hilbert import StateVector, inner, orthogonal_complement
+from .report import Relation, RelationReport, Scalar
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,50 @@ class Params:
         return cls(**values)
 
 
+class Overlaps(dict):
+    """``o[x, y]`` = <x|y> by figure labels, computed on first use; ``o[y, x]`` is its own entry."""
+
+    def __init__(self, vectors: Mapping[str, StateVector]) -> None:
+        super().__init__()
+        self.vectors = vectors
+
+    def __missing__(self, pair: tuple[str, str]) -> complex:
+        x, y = pair
+        value = self[pair] = inner(self.vectors[x], self.vectors[y])
+        return value
+
+
 class Scenario:
     """The built outcome vectors of a scenario, held as fields of a subclass.
 
     ``LABELS`` maps each figure node label to the attribute holding its
-    vector. ``SAMPLED`` names the (prepared state, detected outcome) pair
-    whose frequency the oracle samples.
+    vector. ``DIM`` is the dimension of those vectors, and ``DERIVED`` lists,
+    in build order, each derived label with the labels it is orthogonal to.
+    ``SAMPLED`` names the (prepared state, detected outcome) pair whose
+    frequency the oracle samples.
     """
 
     LABELS: ClassVar[Mapping[str, str]]
+    DIM: ClassVar[int]
+    DERIVED: ClassVar[tuple[tuple[str, tuple[str, ...]], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
+
+    @classmethod
+    def build(cls, params: Params, seeds: Mapping[str, StateVector], **fields: StateVector):
+        """The scenario that completes ``seeds`` (label -> vector) along ``DERIVED``.
+
+        Each derived label, in order, is the ``orthogonal_complement`` of the
+        vectors it is orthogonal to. ``fields`` are the fields no label names.
+        """
+        vectors = dict(seeds)
+        for label, orthogonal_to in cls.DERIVED:
+            vectors[label] = orthogonal_complement(
+                [vectors[other] for other in orthogonal_to], cls.DIM
+            )
+        return cls(
+            params=params, **fields,
+            **{attr: vectors[label] for label, attr in cls.LABELS.items()},
+        )
 
     @property
     def vectors(self) -> dict[str, StateVector]:
@@ -83,3 +119,17 @@ class Scenario:
     def realization(self) -> dict[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""
         return self.vectors
+
+    def overlaps(self) -> Overlaps:
+        """A fresh ``Overlaps`` cache over this scenario's labelled vectors."""
+        return Overlaps(self.vectors)
+
+    def report(self, *rows: tuple[str, Scalar, Scalar]) -> RelationReport:
+        """The report of ``(id, formula value, direct value)`` rows, in order."""
+        return RelationReport(
+            params=self.params.to_dict(),
+            relations=tuple(
+                Relation(rel_id, formula, direct, residual=abs(formula - direct))
+                for rel_id, formula, direct in rows
+            ),
+        )

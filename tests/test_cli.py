@@ -15,7 +15,7 @@ import contextnet
 from contextnet import hardy3
 from contextnet.cli import RESIDUAL_THRESHOLD, SweepSpec, main
 from contextnet.errors import BOUNDARY_MARGIN
-from contextnet.network import builtin_network, network_from_json
+from contextnet.network import ContextNetwork, builtin_network
 
 
 def scalar_sweep(alphas, betas, out):
@@ -332,6 +332,13 @@ class TestSample:
                      "--seed", "1", "--trials", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", [str(2**63), str(10**20)])
+    def test_trials_beyond_the_sampler_exit_2(self, hardy_params, capsys, trials):
+        assert main(["sample", "hardy3", "--params", hardy_params,
+                     "--seed", "1", "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed,trials,option", [("true", "100", "--seed"),
                                                     ("1", "2.5", "--trials")])
     def test_non_integer_seed_or_trials_exits_2(self, hardy_params, capsys, seed, trials, option):
@@ -352,7 +359,7 @@ class TestGraph:
     def test_round_trip(self, capsys):
         main(["graph", "--figure", "2"])
         doc = json.loads(capsys.readouterr().out)
-        assert network_from_json(doc) == builtin_network(2)
+        assert ContextNetwork(doc["nodes"], doc["edges"], doc["non_edges"]) == builtin_network(2)
 
 
 def test_python_m_contextnet_runs_the_cli():

@@ -13,7 +13,6 @@ from contextnet.network import (
     Figure,
     Violation,
     builtin_network,
-    network_from_json,
     network_to_json,
     validate_realization,
 )
@@ -64,7 +63,7 @@ class TestBuiltinNetworks:
     def test_fig4_shape(self):
         net = builtin_network(Figure.FIG4)
         assert len(net.nodes) == 10
-        assert net.degree("1,1") >= 7
+        assert sum(1 for e in net.edges if "1,1" in e) >= 7
         assert ("a,a", "b,0") in net.edges
         assert ("0,b", "a,a") in net.edges
         assert ("1,1", "a,a") in net.required_non_edges
@@ -217,7 +216,7 @@ class TestNetworkJson:
     def test_round_trip(self, figure):
         net = builtin_network(figure)
         doc = json.loads(json.dumps(network_to_json(net)))
-        assert network_from_json(doc) == net
+        assert ContextNetwork(doc["nodes"], doc["edges"], doc["non_edges"]) == net
 
     def test_document_shape(self):
         doc = network_to_json(builtin_network(2))

@@ -4,27 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from contextnet.errors import (
-    DimensionMismatch,
-    EmptyChain,
-    EmptyTrials,
-    IncompleteContext,
-)
+from contextnet.errors import EmptyTrials, IncompleteContext
 from contextnet.hardy3 import ScenarioParams, build_scenario
 from contextnet.hilbert import (
     StateVector,
     basis_vector,
     born_probability,
     complete_context,
-    inner,
 )
 from contextnet.nonlocal4 import LocalParams
 from contextnet.oracle import (
+    MAX_TRIALS,
     MeasurementContext,
     estimate_nonlocal_paradox,
     estimate_paradox,
     sample_context,
-    sequential_probability,
 )
 
 
@@ -36,37 +30,6 @@ def center():
 @pytest.fixture(scope="module")
 def central_context():
     return MeasurementContext(tuple(basis_vector(3, i) for i in range(3)))
-
-
-class TestSequentialProbability:
-    def test_identity_step(self):
-        e1 = basis_vector(3, 0)
-        assert sequential_probability(e1, [e1]) == 1.0
-
-    def test_orthogonal_step(self):
-        assert sequential_probability(basis_vector(3, 0), [basis_vector(3, 1)]) == 0.0
-
-    def test_detour_through_center(self, center):
-        # project D1 onto |3>, then |3> onto D2: alpha * beta = 1/4
-        p = sequential_probability(center.d1, [center.k3, center.d2])
-        assert p == pytest.approx(0.25, abs=1e-14)
-
-    def test_matches_direct_overlap(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            alpha, beta = rng.uniform(0.01, 0.99, size=2)
-            ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            s = build_scenario(ScenarioParams(alpha, beta, ph1, ph2))
-            chained = sequential_probability(s.d1, [s.k3, s.d2])
-            assert abs(chained - abs(inner(s.d1, s.d2)) ** 2) < 1e-12
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(EmptyChain):
-            sequential_probability(basis_vector(3, 0), [])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            sequential_probability(basis_vector(3, 0), [basis_vector(2, 0)])
 
 
 class TestMeasurementContext:
@@ -85,6 +48,18 @@ class TestMeasurementContext:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(IncompleteContext):
             MeasurementContext((basis_vector(2, 0), basis_vector(3, 1), basis_vector(3, 2)))
+
+    def test_rejects_non_unit_outcome(self):
+        # (1 + 3e-6)^2 on the diagonal is within allclose's default rtol
+        long = StateVector([1.0 + 3e-6, 0.0, 0.0])
+        with pytest.raises(IncompleteContext, match="unit"):
+            MeasurementContext((long, basis_vector(3, 1), basis_vector(3, 2)))
+
+    def test_accepts_outcome_within_norm_tolerance(self):
+        # the same deviation complete_context accepts in its inputs
+        near = StateVector([1.0 + 5e-11, 0.0, 0.0])
+        assert len(complete_context([near], 3)) == 3
+        assert MeasurementContext((near, basis_vector(3, 1), basis_vector(3, 2))).dim == 3
 
 
 class TestSampleContext:
@@ -119,6 +94,13 @@ class TestSampleContext:
     def test_zero_trials_rejected(self, central_context):
         with pytest.raises(EmptyTrials):
             sample_context(basis_vector(3, 0), central_context, seed=1, trials=0)
+
+    def test_trials_beyond_the_sampler_rejected(self, central_context):
+        top = sample_context(basis_vector(3, 0), central_context, seed=1, trials=MAX_TRIALS)
+        assert top[0].count == MAX_TRIALS
+        for trials in (MAX_TRIALS + 1, 10**20):
+            with pytest.raises(ValueError, match="at most"):
+                sample_context(basis_vector(3, 0), central_context, seed=1, trials=trials)
 
     @pytest.mark.parametrize("seed,trials", [(True, 10), (False, 10), (1, 2.5), (1, True)])
     def test_non_integer_seed_or_trials_rejected(self, central_context, seed, trials):

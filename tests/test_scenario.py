@@ -1,0 +1,204 @@
+"""The shared scenario core: the ``DERIVED`` tables and a reference for every bit.
+
+The reference functions below repeat, call by call, the arithmetic the
+scenario modules had before their builders and reports went through
+``Scenario.build`` and ``Scenario.report``: one explicit
+``orthogonal_complement`` call per derived vector and one ``inner`` call
+per overlap of a relation row. Built vectors and reports must equal them
+byte for byte, so a change in how the table is walked or the overlaps are
+computed cannot move a bit unnoticed.
+"""
+
+import cmath
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
+from contextnet.hardy3 import verify_all as verify_hardy
+from contextnet.hilbert import (
+    ORTH_TOL,
+    StateVector,
+    basis_vector,
+    inner,
+    orthogonal_complement,
+    tensor,
+)
+from contextnet.network import builtin_network
+from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
+from contextnet.nonlocal4 import verify_all as verify_nonlocal
+from contextnet.report import Relation, RelationReport, report_to_json
+
+#: Each scenario with the figure whose nodes it realizes.
+FIGURES = [(HardyScenario, 2), (NonlocalScenario, 4)]
+
+
+@pytest.mark.parametrize("scenario,figure", FIGURES)
+def test_every_derived_constraint_inside_the_figure_is_an_edge(scenario, figure):
+    net = builtin_network(figure)
+    for label, orthogonal_to in scenario.DERIVED:
+        for other in orthogonal_to:
+            if label in net.nodes and other in net.nodes:
+                assert tuple(sorted((label, other))) in net.edges, (label, other)
+
+
+@pytest.mark.parametrize("scenario,figure", FIGURES)
+def test_every_derived_label_names_a_vector(scenario, figure):
+    for label, orthogonal_to in scenario.DERIVED:
+        assert label in scenario.LABELS
+        assert set(orthogonal_to) <= set(scenario.LABELS)
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1)),
+    (build_nonlocal, LocalParams(0.3, 1.1)),
+])
+def test_built_vectors_keep_their_derived_orthogonality(build, params):
+    s = build(params)
+    vectors = s.vectors
+    for label, orthogonal_to in s.DERIVED:
+        assert vectors[label].dim == s.DIM
+        for other in orthogonal_to:
+            assert abs(inner(vectors[label], vectors[other])) < ORTH_TOL
+
+
+def test_overlaps_are_inner_products_computed_once():
+    s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
+    o = s.overlaps()
+    first = o["D1", "3"]
+    assert first == inner(s.d1, s.k3)
+    assert o["D1", "3"] is first
+    assert o["3", "D1"] == inner(s.k3, s.d1)
+    assert len(o) == 2
+
+
+def make_points(seed, n):
+    """Hardy3 and nonlocal4 points in turn, every fifth of each near 1.
+
+    The same draw as the benchmark's ensemble points: near-boundary
+    probabilities are 1 - d with log10(d) uniform in [-9, -3], the others
+    uniform in [1e-3, 1 - 1e-3], and phases uniform in [0, 2 pi).
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        k = 2 if i % 2 == 0 else 1
+        if (i // 2) % 5 == 0:
+            x = 1.0 - 10.0 ** rng.uniform(-9.0, -3.0, k)
+        else:
+            x = rng.uniform(1e-3, 1.0 - 1e-3, k)
+        ph = rng.uniform(0.0, 2.0 * math.pi, k)
+        if k == 2:
+            points.append(ScenarioParams(float(x[0]), float(x[1]), float(ph[0]), float(ph[1])))
+        else:
+            points.append(LocalParams(float(x[0]), float(ph[0])))
+    return points
+
+
+def reference_hardy(p):
+    """(field -> vector, report) of the dimension-3 scenario, spelled out."""
+    a, b = p.alpha, p.beta
+    k1, k2, k3 = (basis_vector(3, i) for i in range(3))
+    d1 = StateVector([0.0, math.sqrt(1.0 - a), cmath.exp(1j * p.phase_d1) * math.sqrt(a)])
+    d2 = StateVector([math.sqrt(1.0 - b), 0.0, cmath.exp(1j * p.phase_d2) * math.sqrt(b)])
+    s1 = orthogonal_complement([k1, d1], 3)
+    s2 = orthogonal_complement([k2, d2], 3)
+    f = orthogonal_complement([s1, s2], 3)
+    n_f = orthogonal_complement([d1, d2], 3)
+    vectors = dict(k1=k1, k2=k2, k3=k3, d1=d1, d2=d2, s1=s1, s2=s2, f=f, n_f=n_f)
+
+    nf3 = (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
+    f3 = a * b / (a + b * (1.0 - a))
+    paradox = (a * b / ((1.0 - a) + a * (1.0 - b))) * (
+        (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
+    )
+    expansion = float(np.linalg.norm(f.components - (
+        d1.components * inner(d1, f) + d2.components * inner(d2, f)
+        - k3.components * inner(k3, f)
+    )))
+    rows = [
+        ("eq3", inner(d1, k3) * inner(k3, d2), inner(d1, d2)),
+        ("eq6", 0.0, expansion),
+        ("eq9", -inner(f, k3) * inner(k3, n_f), inner(f, n_f)),
+        ("eq10a", -inner(d2, k3) * inner(k3, n_f), inner(d2, k1) * inner(k1, n_f)),
+        ("eq10b", -inner(d1, k3) * inner(k3, n_f), inner(d1, k2) * inner(k2, n_f)),
+        ("eq11a", (b / (1.0 - b)) * nf3, abs(inner(k1, n_f)) ** 2),
+        ("eq11b", (a / (1.0 - a)) * nf3, abs(inner(k2, n_f)) ** 2),
+        ("eq12", nf3, abs(inner(k3, n_f)) ** 2),
+        ("eq13a", inner(f, d1) * inner(d1, k3), inner(f, k3)),
+        ("eq13b", inner(f, d2) * inner(d2, k3), inner(f, k3)),
+        ("eq14", 1.0,
+         abs(inner(f, d1)) ** 2 + abs(inner(f, d2)) ** 2 - abs(inner(f, k3)) ** 2),
+        ("eq15", f3, abs(inner(f, k3)) ** 2),
+        ("eq16", paradox, abs(inner(f, n_f)) ** 2),
+    ]
+    return vectors, reference_report(p, rows)
+
+
+def reference_nonlocal(p):
+    """(field -> vector, report) of the two-qubit scenario, spelled out."""
+    x = p.a2
+    k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
+    ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
+    kb = orthogonal_complement([ka], 2)
+    k00, k01, k10, k11 = (tensor(u, v) for u in (k0, k1) for v in (k0, k1))
+    ka0, k0a = tensor(ka, k0), tensor(k0, ka)
+    kb0, k0b = tensor(kb, k0), tensor(k0, kb)
+    kaa = tensor(ka, ka)
+    f_nl = orthogonal_complement([kb0, k0b, k11], 4)
+    n_f = orthogonal_complement([ka0, k0a, k11], 4)
+    vectors = dict(
+        k0=k0, k1=k1, ka=ka, kb=kb, k00=k00, k01=k01, k10=k10, k11=k11,
+        ka0=ka0, k0a=k0a, kb0=kb0, k0b=k0b, kaa=kaa, f_nl=f_nl, n_f=n_f,
+    )
+
+    expansion = float(np.linalg.norm(kaa.components - (
+        f_nl.components * inner(f_nl, kaa) + k11.components * inner(k11, kaa)
+    )))
+    factorization = abs(inner(kaa, n_f) - inner(kaa, f_nl) * inner(f_nl, n_f))
+    rows = [
+        ("eq17", (x * x / (1.0 + x)) * ((1.0 - x) / (x * (2.0 - x))),
+         abs(inner(f_nl, n_f)) ** 2),
+        ("eq18", 0.0, max(expansion, factorization)),
+        ("eq19", x * (2.0 - x), abs(inner(f_nl, kaa)) ** 2),
+        ("eq20", inner(kaa, f_nl) * inner(f_nl, n_f), inner(kaa, n_f)),
+        ("eq21", x * x * (1.0 - x) / (1.0 + x), abs(inner(kaa, n_f)) ** 2),
+    ]
+    return vectors, reference_report(p, rows)
+
+
+def reference_report(p, rows):
+    relations = tuple(Relation(i, formula, direct, abs(formula - direct))
+                      for i, formula, direct in rows)
+    return RelationReport(p.to_dict(), relations)
+
+
+def hex_floats(doc):
+    """``doc`` with every float written as ``float.hex``, so -0.0 differs from 0.0."""
+    if isinstance(doc, float):
+        return float.hex(doc)
+    if isinstance(doc, dict):
+        return {k: hex_floats(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [hex_floats(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
+    for p in make_points(seed, 1000):
+        if isinstance(p, ScenarioParams):
+            s, report = build_scenario(p), verify_hardy
+            vectors, expected = reference_hardy(p)
+        else:
+            s, report = build_nonlocal(p), verify_nonlocal
+            vectors, expected = reference_nonlocal(p)
+        built = {f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "params"}
+        assert built.keys() == vectors.keys()
+        for name, v in vectors.items():
+            assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
+        got = json.dumps(hex_floats(report_to_json(report(s))))
+        assert got == json.dumps(hex_floats(report_to_json(expected))), p
