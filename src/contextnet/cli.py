@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,28 +44,14 @@ BROKEN_PIPE_EXIT = 141
 SCENARIOS = {"hardy3": hardy3, "nonlocal4": nonlocal4}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for the paradox-probability sweep."""
-
-    grid_points_per_axis: int
-    alpha_range: tuple[float, float]
-    beta_range: tuple[float, float]
-    output_path: Path
-
-    def __post_init__(self) -> None:
-        if self.grid_points_per_axis < 3:
-            raise ValueError("grid needs at least 3 points per axis")
-        for name, (lo, hi) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
-            if not (0.0 < lo <= hi < 1.0):
-                raise ValueError(f"{name} range [{lo}, {hi}] must lie strictly inside (0, 1)")
-
-
 def _build(kind: str, path: str):
     """The scenario named ``kind``, built from the JSON parameter file."""
     module = SCENARIOS[kind]
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to parse") from None
     return module.build(module.PARAMS.from_dict(doc))
 
 
@@ -80,17 +66,25 @@ def cmd_verify(kind: str, params_path: str) -> int:
     return 0
 
 
-def cmd_sweep(spec: SweepSpec) -> int:
+def cmd_sweep(
+    grid: int, alpha_range: tuple[float, float], beta_range: tuple[float, float], out: Path
+) -> int:
     """Write the paradox probability over the grid as CSV, one alpha row at a time.
 
-    Every grid value is checked before the file is opened, so bad input
-    leaves an existing file as it was. The checks run in the order a
-    cell-by-cell loop would meet them (the first alpha, every beta, the
-    other alphas), which fixes the ``error:`` text.
+    The grid size and the two ranges are checked first, then every grid
+    value, all before the file is opened, so bad input leaves an existing
+    file as it was. The grid values are checked in the order a cell-by-cell
+    loop would meet them (the first alpha, every beta, the other alphas),
+    which fixes the ``error:`` text.
     """
-    n = spec.grid_points_per_axis
-    alphas = np.linspace(spec.alpha_range[0], spec.alpha_range[1], n).tolist()
-    betas = np.linspace(spec.beta_range[0], spec.beta_range[1], n)
+    if grid < 3:
+        raise ValueError("grid needs at least 3 points per axis")
+    for name, (lo, hi) in (("alpha", alpha_range), ("beta", beta_range)):
+        # A range of infinite width would make np.linspace warn before the checks below.
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ValueError(f"{name} range [{lo}, {hi}] needs lo <= hi and a finite width")
+    alphas = np.linspace(alpha_range[0], alpha_range[1], grid).tolist()
+    betas = np.linspace(beta_range[0], beta_range[1], grid)
     require_interior(alphas[0], "alpha")
     for b in betas:
         require_interior(b, "beta")
@@ -101,7 +95,7 @@ def cmd_sweep(spec: SweepSpec) -> int:
     # argmax returns the first maximum of a row, so a strict > keeps the
     # first maximum of the grid, which is the lexicographically smallest.
     best = (-1.0, 1.0, 1.0)
-    with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
         # The csv module's excel dialect would write the same bytes: it never
         # quotes these fields, and it ends each row with \r\n.
         fh.write("alpha,beta,p_paradox\r\n")
@@ -115,8 +109,8 @@ def cmd_sweep(spec: SweepSpec) -> int:
             if row[j] > best[0]:
                 best = (float(row[j]), a, float(betas[j]))
     print(
-        f"sweep {n}x{n}: max p_paradox={best[0]:.17g} "
-        f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {spec.output_path}"
+        f"sweep {grid}x{grid}: max p_paradox={best[0]:.17g} "
+        f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}"
     )
     return 0
 
@@ -137,13 +131,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
     return float(parts[0]), float(parts[1])
-
-
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
 
 
 @functools.cache
@@ -174,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="Monte-Carlo estimate of the paradox")
     p_sample.add_argument("scenario", choices=list(SCENARIOS))
     p_sample.add_argument("--params", required=True, help="JSON parameter file")
-    p_sample.add_argument("--seed", type=_parse_seed, required=True)
+    p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--trials", type=int, required=True)
 
     p_graph = sub.add_parser("graph", help="print a built-in network as JSON")
@@ -190,14 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.scenario, args.params)
         if args.command == "sweep":
-            return cmd_sweep(
-                SweepSpec(
-                    grid_points_per_axis=args.grid,
-                    alpha_range=args.alpha_range,
-                    beta_range=args.beta_range,
-                    output_path=Path(args.out),
-                )
-            )
+            return cmd_sweep(args.grid, args.alpha_range, args.beta_range, Path(args.out))
         if args.command == "sample":
             return cmd_sample(args.scenario, args.params, args.seed, args.trials)
         return cmd_graph(args.figure)

@@ -56,7 +56,7 @@ class ScenarioParams(Params):
 
 @dataclass(frozen=True)
 class HardyScenario(Scenario):
-    """The nine concrete outcome vectors of the dimension-3 scenario."""
+    """The nine outcome vectors of the dimension-3 scenario, by label."""
 
     LABELS = {
         "1": "k1", "2": "k2", "3": "k3",
@@ -74,15 +74,6 @@ class HardyScenario(Scenario):
     SAMPLED = ("N_f", "f")
 
     params: ScenarioParams
-    k1: StateVector
-    k2: StateVector
-    k3: StateVector
-    d1: StateVector
-    d2: StateVector
-    s1: StateVector
-    s2: StateVector
-    f: StateVector
-    n_f: StateVector
 
 
 def build_scenario(params: ScenarioParams) -> HardyScenario:

@@ -58,7 +58,11 @@ class LocalParams(Params):
 
 @dataclass(frozen=True)
 class NonlocalScenario(Scenario):
-    """Local kets, product kets and the two derived dimension-4 outcomes."""
+    """Product kets and the two derived outcomes by label, plus the local kets.
+
+    The dimension-2 kets |0>, |1>, a and b are fields of their own: they are
+    not figure nodes, so every ``vectors`` entry is a dimension-4 state.
+    """
 
     LABELS = {
         "0,0": "k00", "0,1": "k01", "1,0": "k10", "1,1": "k11",
@@ -77,17 +81,6 @@ class NonlocalScenario(Scenario):
     k1: StateVector
     ka: StateVector
     kb: StateVector
-    k00: StateVector
-    k01: StateVector
-    k10: StateVector
-    k11: StateVector
-    ka0: StateVector
-    k0a: StateVector
-    kb0: StateVector
-    k0b: StateVector
-    kaa: StateVector
-    f_nl: StateVector
-    n_f: StateVector
 
 
 def build_nonlocal(params: LocalParams) -> NonlocalScenario:

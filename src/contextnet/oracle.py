@@ -25,6 +25,9 @@ RNG_NAME = "philox4x64"
 #: The largest trial count numpy's multinomial sampler takes (a C int64).
 MAX_TRIALS = 2**63 - 1
 
+#: The largest seed: a seed is an unsigned 64-bit integer, so every recorded seed fits one.
+MAX_SEED = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class MeasurementContext:
@@ -92,6 +95,7 @@ def sample_context(
 
     Raises:
         TypeError: if ``seed`` or ``trials`` is not an integer (a bool is not).
+        ValueError: if ``seed`` lies outside [0, ``MAX_SEED``].
         EmptyTrials: if ``trials`` < 1.
         ValueError: if ``trials`` > ``MAX_TRIALS``.
     """
@@ -99,6 +103,8 @@ def sample_context(
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name}={value!r} must be an integer")
     seed, trials = int(seed), int(trials)  # plain ints, so estimates serialise
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed={seed}; seeds run from 0 to {MAX_SEED}")
     if trials < 1:
         raise EmptyTrials(f"trials={trials}; need at least 1")
     if trials > MAX_TRIALS:

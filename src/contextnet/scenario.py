@@ -1,15 +1,16 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
-A scenario module declares its parameters and its outcome vectors as frozen
-dataclass fields on these bases, its derived vectors as a ``DERIVED`` table
-and its relations as rows over labelled overlaps.
+A scenario module declares its parameters as frozen dataclass fields, its
+outcome labels in a ``LABELS`` table, its derived vectors in a ``DERIVED``
+table and its relations as rows over labelled overlaps.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from types import MappingProxyType
 from typing import ClassVar, Mapping
 
 from .errors import OutOfDomain, require_interior
@@ -79,20 +80,37 @@ class Overlaps(dict):
         return value
 
 
+@dataclass(frozen=True)
 class Scenario:
-    """The built outcome vectors of a scenario, held as fields of a subclass.
+    """The parameters of a scenario and its built outcome vectors by label.
 
-    ``LABELS`` maps each figure node label to the attribute holding its
-    vector. ``DIM`` is the dimension of those vectors, and ``DERIVED`` lists,
-    in build order, each derived label with the labels it is orthogonal to.
-    ``SAMPLED`` names the (prepared state, detected outcome) pair whose
-    frequency the oracle samples.
+    ``vectors`` is the read-only label -> vector mapping that ``build``
+    fills once. ``LABELS`` maps each figure node label to the read-only
+    attribute that returns its vector. ``DIM`` is the dimension of those
+    vectors, and ``DERIVED`` lists, in build order, each derived label with
+    the labels it is orthogonal to. ``SAMPLED`` names the (prepared state,
+    detected outcome) pair whose frequency the oracle samples.
     """
 
     LABELS: ClassVar[Mapping[str, str]]
     DIM: ClassVar[int]
     DERIVED: ClassVar[tuple[tuple[str, tuple[str, ...]], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
+
+    params: Params
+    vectors: Mapping[str, StateVector] = field(hash=False)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for label, attr in cls.LABELS.items():
+            setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
+
+    # A mappingproxy does not pickle, so pickle and deepcopy carry a plain dict.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "vectors": dict(self.vectors)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, vectors=MappingProxyType(state["vectors"]))
 
     @classmethod
     def build(cls, params: Params, seeds: Mapping[str, StateVector], **fields: StateVector):
@@ -106,17 +124,9 @@ class Scenario:
             vectors[label] = orthogonal_complement(
                 [vectors[other] for other in orthogonal_to], cls.DIM
             )
-        return cls(
-            params=params, **fields,
-            **{attr: vectors[label] for label, attr in cls.LABELS.items()},
-        )
+        return cls(params, MappingProxyType(vectors), **fields)
 
-    @property
-    def vectors(self) -> dict[str, StateVector]:
-        """Outcome label -> vector, matching the figure's node names."""
-        return {label: getattr(self, attr) for label, attr in self.LABELS.items()}
-
-    def realization(self) -> dict[str, StateVector]:
+    def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""
         return self.vectors
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import contextnet
 from contextnet import hardy3
-from contextnet.cli import RESIDUAL_THRESHOLD, SweepSpec, main
+from contextnet.cli import RESIDUAL_THRESHOLD, main
 from contextnet.errors import BOUNDARY_MARGIN
 from contextnet.network import ContextNetwork, builtin_network
 
@@ -123,6 +123,19 @@ def test_non_numeric_params_exit_2(tmp_path, capsys, command, scenario, text, na
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(named)
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_deeply_nested_params_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    argv = [command, "hardy3", "--params", str(path)]
+    if command == "sample":
+        argv += ["--seed", "1", "--trials", "100"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} nests too deeply to parse\n"
 
 
 def test_integer_params_are_accepted_as_floats(tmp_path, capsys):
@@ -279,9 +292,27 @@ class TestSweep:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: alpha=1e-12")
 
-    def test_spec_validates_grid(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepSpec(2, (0.1, 0.9), (0.1, 0.9), tmp_path / "x.csv")
+    def test_grid_below_three_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grid needs at least 3 points per axis\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,text", [
+        ("--alpha-range", "0.5,0.1"),
+        ("--beta-range", "0.9,0.2"),
+        ("--alpha-range", "nan,0.5"),
+        ("--beta-range", "0.1,inf"),
+        ("--alpha-range", "-1e308,1e308"),
+    ], ids=["alpha-lo-above-hi", "beta-lo-above-hi", "nan", "inf", "infinite-width"])
+    def test_range_without_finite_lo_le_hi_exits_2_and_keeps_the_file(
+            self, tmp_path, capsys, option, text):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous run\r\n")
+        assert main(["sweep", "--grid", "3", f"{option}={text}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option[2:-6]} range [") and err.count("\n") == 1
+        assert out.read_bytes() == b"previous run\r\n"
 
 
 class TestParser:
@@ -338,6 +369,19 @@ class TestSample:
                      "--seed", "1", "--trials", trials]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**200)])
+    def test_seed_outside_the_unsigned_64_bit_range_exits_2(self, hardy_params, capsys, seed):
+        assert main(["sample", "hardy3", "--params", hardy_params,
+                     "--seed", seed, "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed={seed}; seeds run from 0 to {2**64 - 1}\n"
+
+    def test_largest_seed_is_accepted(self, hardy_params, capsys):
+        assert main(["sample", "hardy3", "--params", hardy_params,
+                     "--seed", str(2**64 - 1), "--trials", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("seed,trials,option", [("true", "100", "--seed"),
                                                     ("1", "2.5", "--trials")])

@@ -14,6 +14,7 @@ from contextnet.hilbert import (
 )
 from contextnet.nonlocal4 import LocalParams
 from contextnet.oracle import (
+    MAX_SEED,
     MAX_TRIALS,
     MeasurementContext,
     estimate_nonlocal_paradox,
@@ -101,6 +102,13 @@ class TestSampleContext:
         for trials in (MAX_TRIALS + 1, 10**20):
             with pytest.raises(ValueError, match="at most"):
                 sample_context(basis_vector(3, 0), central_context, seed=1, trials=trials)
+
+    def test_seed_outside_the_unsigned_64_bit_range_rejected(self, central_context):
+        top = sample_context(basis_vector(3, 0), central_context, seed=MAX_SEED, trials=10)
+        assert top[0].seed == 2**64 - 1
+        for seed in (-1, 2**64, 2**200):
+            with pytest.raises(ValueError, match="seeds run from 0"):
+                sample_context(basis_vector(3, 0), central_context, seed=seed, trials=10)
 
     @pytest.mark.parametrize("seed,trials", [(True, 10), (False, 10), (1, 2.5), (1, True)])
     def test_non_integer_seed_or_trials_rejected(self, central_context, seed, trials):

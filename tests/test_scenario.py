@@ -10,9 +10,12 @@ computed cannot move a bit unnoticed.
 """
 
 import cmath
+import copy
 import dataclasses
 import json
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -34,6 +37,9 @@ from contextnet.report import Relation, RelationReport, report_to_json
 
 #: Each scenario with the figure whose nodes it realizes.
 FIGURES = [(HardyScenario, 2), (NonlocalScenario, 4)]
+
+#: The dimension-2 kets of ``NonlocalScenario``, the only vectors outside its ``vectors``.
+LOCAL_KETS = ("k0", "k1", "ka", "kb")
 
 
 @pytest.mark.parametrize("scenario,figure", FIGURES)
@@ -63,6 +69,29 @@ def test_built_vectors_keep_their_derived_orthogonality(build, params):
         assert vectors[label].dim == s.DIM
         for other in orthogonal_to:
             assert abs(inner(vectors[label], vectors[other])) < ORTH_TOL
+
+
+@pytest.mark.parametrize("build,params,other", [
+    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1), ScenarioParams(0.3, 0.7, 0.4, 2.2)),
+    (build_nonlocal, LocalParams(0.3, 1.1), LocalParams(0.31, 1.1)),
+])
+def test_vectors_are_stored_once_and_read_only(build, params, other):
+    s = build(params)
+    with pytest.raises(TypeError):
+        s.vectors["N_f"] = s.vectors["N_f"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.n_f = s.n_f
+    assert list(s.vectors) == list(s.LABELS)
+    for label, attr in s.LABELS.items():
+        assert getattr(s, attr) is s.vectors[label]
+    assert s.realization() is s.vectors
+    assert s.overlaps().vectors is s.vectors
+    twin = build(params)
+    assert twin == s and hash(twin) == hash(s)
+    assert build(other) != s
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert copied == s and hash(copied) == hash(s)
+        assert isinstance(copied.vectors, types.MappingProxyType)
 
 
 def test_overlaps_are_inner_products_computed_once():
@@ -99,7 +128,7 @@ def make_points(seed, n):
 
 
 def reference_hardy(p):
-    """(field -> vector, report) of the dimension-3 scenario, spelled out."""
+    """(label -> vector, report) of the dimension-3 scenario, spelled out."""
     a, b = p.alpha, p.beta
     k1, k2, k3 = (basis_vector(3, i) for i in range(3))
     d1 = StateVector([0.0, math.sqrt(1.0 - a), cmath.exp(1j * p.phase_d1) * math.sqrt(a)])
@@ -108,7 +137,8 @@ def reference_hardy(p):
     s2 = orthogonal_complement([k2, d2], 3)
     f = orthogonal_complement([s1, s2], 3)
     n_f = orthogonal_complement([d1, d2], 3)
-    vectors = dict(k1=k1, k2=k2, k3=k3, d1=d1, d2=d2, s1=s1, s2=s2, f=f, n_f=n_f)
+    vectors = {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2,
+               "S1": s1, "S2": s2, "f": f, "N_f": n_f}
 
     nf3 = (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
     f3 = a * b / (a + b * (1.0 - a))
@@ -139,7 +169,7 @@ def reference_hardy(p):
 
 
 def reference_nonlocal(p):
-    """(field -> vector, report) of the two-qubit scenario, spelled out."""
+    """(label or local ket name -> vector, report) of the two-qubit scenario, spelled out."""
     x = p.a2
     k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
     ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
@@ -150,10 +180,12 @@ def reference_nonlocal(p):
     kaa = tensor(ka, ka)
     f_nl = orthogonal_complement([kb0, k0b, k11], 4)
     n_f = orthogonal_complement([ka0, k0a, k11], 4)
-    vectors = dict(
-        k0=k0, k1=k1, ka=ka, kb=kb, k00=k00, k01=k01, k10=k10, k11=k11,
-        ka0=ka0, k0a=k0a, kb0=kb0, k0b=k0b, kaa=kaa, f_nl=f_nl, n_f=n_f,
-    )
+    vectors = {
+        "k0": k0, "k1": k1, "ka": ka, "kb": kb,
+        "0,0": k00, "0,1": k01, "1,0": k10, "1,1": k11,
+        "a,0": ka0, "0,a": k0a, "b,0": kb0, "0,b": k0b,
+        "a,a": kaa, "f_NL": f_nl, "N_f": n_f,
+    }
 
     expansion = float(np.linalg.norm(kaa.components - (
         f_nl.components * inner(f_nl, kaa) + k11.components * inner(k11, kaa)
@@ -193,10 +225,11 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
         if isinstance(p, ScenarioParams):
             s, report = build_scenario(p), verify_hardy
             vectors, expected = reference_hardy(p)
+            built = dict(s.vectors)
         else:
             s, report = build_nonlocal(p), verify_nonlocal
             vectors, expected = reference_nonlocal(p)
-        built = {f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "params"}
+            built = {name: getattr(s, name) for name in LOCAL_KETS} | dict(s.vectors)
         assert built.keys() == vectors.keys()
         for name, v in vectors.items():
             assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
