@@ -154,8 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep of the paradox probability")
     p_sweep.add_argument("--grid", type=int, default=99, help="points per axis (default 99)")
-    p_sweep.add_argument("--alpha-range", type=_parse_range, default=(0.01, 0.99))
-    p_sweep.add_argument("--beta-range", type=_parse_range, default=(0.01, 0.99))
+    # argparse reads "-0.5,0.5" as an option, so a negative lo needs the "=" form.
+    for axis in ("alpha", "beta"):
+        p_sweep.add_argument(
+            f"--{axis}-range", type=_parse_range, default=(0.01, 0.99), metavar="LO,HI",
+            help=f"default 0.01,0.99; negative LO: --{axis}-range=LO,HI",
+        )
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo estimate of the paradox")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, inner
+from .hilbert import StateVector, basis_vector
 from .report import RelationReport
 from .scenario import Params, Scenario
 
@@ -71,6 +71,14 @@ class HardyScenario(Scenario):
         ("f", ("S1", "S2")),
         ("N_f", ("D1", "D2")),
     )
+    OVERLAPS = (
+        ("D1", "3"), ("3", "D2"), ("D1", "D2"),
+        ("D1", "f"), ("D2", "f"), ("3", "f"),
+        ("f", "3"), ("3", "N_f"), ("f", "N_f"),
+        ("D2", "3"), ("D2", "1"), ("1", "N_f"),
+        ("D1", "2"), ("2", "N_f"),
+        ("f", "D1"), ("f", "D2"),
+    )
     SAMPLED = ("N_f", "f")
 
     params: ScenarioParams
@@ -101,18 +109,13 @@ def chain_rule_residual(s: HardyScenario) -> float:
 
 
 def f_expansion_residual(s: HardyScenario) -> float:
-    """Norm of f minus its expansion over D1, D2 and |3>.
+    """Norm of f minus its expansion over D1, D2 and |3> (row eq6).
 
     The expansion f = D1 <D1|f> + D2 <D2|f> - |3> <3|f> mixes outcomes from
     three different contexts; the minus sign on the |3> term is what breaks
     the either/or reading of the two two-term expansions of f.
     """
-    reconstruction = (
-        s.d1.components * inner(s.d1, s.f)
-        + s.d2.components * inner(s.d2, s.f)
-        - s.k3.components * inner(s.k3, s.f)
-    )
-    return float(np.linalg.norm(s.f.components - reconstruction))
+    return verify_all(s).relation("eq6").direct_value
 
 
 def nf_relation_residual(s: HardyScenario) -> float:
@@ -180,9 +183,14 @@ def verify_all(s: HardyScenario) -> RelationReport:
     a, b = s.params.alpha, s.params.beta
     nf3 = predicted_nf3(a, b)
     o = s.overlaps()
+    f_expansion = s.f.components - (
+        s.d1.components * o["D1", "f"]
+        + s.d2.components * o["D2", "f"]
+        - s.k3.components * o["3", "f"]
+    )
     return s.report(
         ("eq3", o["D1", "3"] * o["3", "D2"], o["D1", "D2"]),
-        ("eq6", 0.0, f_expansion_residual(s)),
+        ("eq6", 0.0, float(np.linalg.norm(f_expansion))),
         ("eq9", -o["f", "3"] * o["3", "N_f"], o["f", "N_f"]),
         ("eq10a", -o["D2", "3"] * o["3", "N_f"], o["D2", "1"] * o["1", "N_f"]),
         ("eq10b", -o["D1", "3"] * o["3", "N_f"], o["D1", "2"] * o["2", "N_f"]),

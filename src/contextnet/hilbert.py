@@ -17,7 +17,7 @@ construction on identical input is bit-identical.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,6 +106,43 @@ def inner(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(a, b))
 
 
+class InnerPairs:
+    """The inner products of a fixed list of keyed pairs, from one stacked pass.
+
+    ``InnerPairs(pairs)(vectors)`` is ``[inner(vectors[x], vectors[y]) for
+    x, y in pairs]``, bit for bit: one ``np.matmul`` of the conjugated left
+    rows with the right columns computes each entry as the same dot product
+    ``np.vdot`` does (``einsum`` and ``.sum`` add in other orders, so their
+    bits differ). The rows each key gathers are fixed at construction.
+    """
+
+    __slots__ = ("pairs", "_keys", "_left", "_right")
+
+    def __init__(self, pairs: Sequence[tuple[Hashable, Hashable]]) -> None:
+        self.pairs = tuple(pairs)
+        self._keys = tuple(dict.fromkeys(key for pair in self.pairs for key in pair))
+        row = {key: i for i, key in enumerate(self._keys)}
+        self._left, self._right = (
+            np.array([row[pair[side]] for pair in self.pairs], dtype=np.intp) for side in (0, 1)
+        )
+
+    def __call__(self, vectors: Mapping[Hashable, StateVector]) -> list[complex]:
+        """The inner product of each pair's vectors, in pair order.
+
+        Raises:
+            DimensionMismatch: if the paired vectors differ in dimension.
+        """
+        if not self.pairs:
+            return []
+        try:
+            m = np.array([vectors[key]._components for key in self._keys])
+        except ValueError:  # numpy stacks only vectors of one length
+            dims = sorted({vectors[key].dim for key in self._keys})
+            raise DimensionMismatch(f"dimensions differ: {dims}") from None
+        products = np.matmul(m.conj()[self._left, None, :], m[self._right, :, None])
+        return products.reshape(-1).tolist()
+
+
 def clamp_probability(value: float) -> float:
     """Clamp a value into [0, 1], allowing only ``PROBABILITY_SLACK`` of spill.
 
@@ -155,57 +192,84 @@ def canonical_phase(components: np.ndarray) -> np.ndarray:
     positive (up to double-precision rounding in its imaginary part).
     """
     v = np.asarray(components, dtype=np.complex128)
-    for c in v:
+    for c in v.tolist():
         if abs(c) > ORTH_TOL:
-            return v * np.exp(-1j * np.angle(c))
+            return v * np.exp(-1j * np.arctan2(c.imag, c.real))  # np.angle(c), without its wrapper
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
 
-def _null_space(vectors: Sequence[StateVector], dim: int) -> np.ndarray:
-    """Rows of an orthonormal basis of the complement of the inputs' span.
+def _null_spaces(
+    groups: Sequence[Sequence[StateVector]], dim: int
+) -> tuple[list[int], np.ndarray]:
+    """The rank of each group and its right-singular vectors, from one stacked SVD.
 
-    One SVD: the rank is the number of squared singular values (the Gram
-    eigenvalues, basis-independent) above ``ORTH_TOL``, and the
-    right-singular vectors past the rank span the complement.
+    Group ``i`` spans a subspace of dimension ``ranks[i]``, the number of its
+    squared singular values (the Gram eigenvalues, basis-independent) above
+    ``ORTH_TOL``, and rows ``ranks[i]:`` of ``vh[i]`` are an orthonormal basis
+    of its complement. numpy runs LAPACK on each matrix of the stack in turn,
+    so every group gets the bits it would get alone.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
-        DegenerateSpan: if the inputs are not finite.
+        DegenerateSpan: if some input is not finite.
+        ValueError: if the groups differ in size.
     """
-    for v in vectors:
-        if v.dim != dim:
-            raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
-    m = np.array([v.components for v in vectors], dtype=np.complex128).reshape(-1, dim)
+    for group in groups:
+        for v in group:
+            if v.dim != dim:
+                raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
+    m = np.array([[v._components for v in group] for group in groups], dtype=np.complex128)
+    size = len(groups[0]) if groups else 0
     try:
-        _, sv, vh = np.linalg.svd(m)
+        _, sv, vh = np.linalg.svd(m.reshape(len(groups), size, dim))
     except np.linalg.LinAlgError as exc:  # raised for NaN or infinite inputs
         raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    return vh[int(np.count_nonzero(sv * sv > ORTH_TOL)):]
+    return (sv * sv > ORTH_TOL).sum(axis=-1).tolist(), vh
+
+
+def orthogonal_complements(
+    groups: Sequence[Sequence[StateVector]], dim: int
+) -> list[StateVector]:
+    """``[orthogonal_complement(group, dim) for group in groups]``, from one stacked SVD.
+
+    The groups must be of one size. The results are bit for bit those of
+    the per-group calls. A stack with one group that the per-group call
+    rejects raises that call's error, with the same message.
+
+    Raises:
+        DimensionMismatch: if any input is not of dimension ``dim``.
+        DegenerateSpan: if some group spans fewer or more than dim - 1
+            dimensions, or some input is not finite.
+        ValueError: if the groups differ in size.
+    """
+    ranks, vh = _null_spaces(groups, dim)
+    for rank in ranks:
+        if rank != dim - 1:
+            raise DegenerateSpan(
+                f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
+            )
+    return [StateVector(canonical_phase(rows[-1])) for rows in vh]
 
 
 def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
     """Unit vector orthogonal to every input, canonically phased.
 
     The inputs must span a (dim - 1)-dimensional subspace so that the
-    complement is unique up to phase; rank is decided by ``_null_space``.
+    complement is unique up to phase; the rank counts squared singular
+    values above ``ORTH_TOL``. The stack of one of ``orthogonal_complements``.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
         DegenerateSpan: if the inputs span fewer or more than dim - 1
             dimensions (complement not unique, or empty), or are not finite.
     """
-    null = _null_space(list(vectors), dim)
-    if len(null) != 1:
-        raise DegenerateSpan(
-            f"inputs span a subspace of dimension {dim - len(null)}, expected {dim - 1}"
-        )
-    return StateVector(canonical_phase(null[0]))
+    return orthogonal_complements([list(vectors)], dim)[0]
 
 
 def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVector]:
     """Deterministically extend orthonormal vectors to a full orthonormal basis.
 
-    The new vectors are the canonically phased rows of ``_null_space``, so
+    The new vectors are the canonically phased null rows of ``_null_spaces``, so
     the completion is reproducible bit for bit. The returned list starts
     with the inputs, unchanged.
 
@@ -216,10 +280,10 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVect
             not finite.
     """
     vecs = list(vectors)
-    null = _null_space(vecs, dim)
+    (rank,), (vh,) = _null_spaces([vecs], dim)
     for i, v in enumerate(vecs):
         if not v.is_normalized():
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
         if any(abs(np.vdot(u.components, v.components)) > ORTH_TOL for u in vecs[:i]):
             raise DegenerateSpan("inputs are not mutually orthogonal")
-    return vecs + [StateVector(canonical_phase(row)) for row in null]
+    return vecs + [StateVector(canonical_phase(row)) for row in vh[rank:]]

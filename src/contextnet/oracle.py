@@ -98,6 +98,9 @@ def sample_context(
         ValueError: if ``seed`` lies outside [0, ``MAX_SEED``].
         EmptyTrials: if ``trials`` < 1.
         ValueError: if ``trials`` > ``MAX_TRIALS``.
+        DimensionMismatch: if ``prep`` and the context's outcomes differ in
+            dimension (from ``born_probability``).
+        NotNormalized: if ``prep`` is not unit norm (from ``born_probability``).
     """
     for name, value in (("seed", seed), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping
 
 from .errors import OutOfDomain, require_interior
-from .hilbert import StateVector, inner, orthogonal_complement
+from .hilbert import InnerPairs, StateVector, orthogonal_complements
 from .report import Relation, RelationReport, Scalar
 
 
@@ -67,35 +67,31 @@ class Params:
         return cls(**values)
 
 
-class Overlaps(dict):
-    """``o[x, y]`` = <x|y> by figure labels, computed on first use; ``o[y, x]`` is its own entry."""
-
-    def __init__(self, vectors: Mapping[str, StateVector]) -> None:
-        super().__init__()
-        self.vectors = vectors
-
-    def __missing__(self, pair: tuple[str, str]) -> complex:
-        x, y = pair
-        value = self[pair] = inner(self.vectors[x], self.vectors[y])
-        return value
-
-
 @dataclass(frozen=True)
 class Scenario:
     """The parameters of a scenario and its built outcome vectors by label.
 
-    ``vectors`` is the read-only label -> vector mapping that ``build``
-    fills once. ``LABELS`` maps each figure node label to the read-only
-    attribute that returns its vector. ``DIM`` is the dimension of those
-    vectors, and ``DERIVED`` lists, in build order, each derived label with
-    the labels it is orthogonal to. ``SAMPLED`` names the (prepared state,
-    detected outcome) pair whose frequency the oracle samples.
+    ``vectors`` is the read-only label -> vector mapping, in ``LABELS``
+    order, that ``build`` fills once. ``LABELS`` maps each figure node label
+    to the read-only attribute that returns its vector. ``DIM`` is the
+    dimension of those vectors, and ``DERIVED`` lists each derived label
+    with the labels it is orthogonal to, after any derived label it uses.
+    ``OVERLAPS`` lists the (x, y) pairs whose <x|y> the relations read.
+    ``SAMPLED`` names the (prepared state, detected outcome) pair whose
+    frequency the oracle samples.
+
+    ``STAGES`` groups the entries of ``DERIVED`` when the class is defined:
+    a stage needs only seeds and earlier stages, and all its entries are
+    orthogonal to equally many labels, so one stacked SVD builds it.
     """
 
     LABELS: ClassVar[Mapping[str, str]]
     DIM: ClassVar[int]
     DERIVED: ClassVar[tuple[tuple[str, tuple[str, ...]], ...]]
+    OVERLAPS: ClassVar[tuple[tuple[str, str], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
+    STAGES: ClassVar[tuple[tuple[tuple[str, tuple[str, ...]], ...], ...]]
+    _inner_pairs: ClassVar[InnerPairs]  # the stacked pass over OVERLAPS
 
     params: Params
     vectors: Mapping[str, StateVector] = field(hash=False)
@@ -104,6 +100,14 @@ class Scenario:
         super().__init_subclass__(**kwargs)
         for label, attr in cls.LABELS.items():
             setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
+        depth: dict[str, int] = {}
+        stages: dict[tuple[int, int], list] = {}
+        for label, orthogonal_to in cls.DERIVED:
+            depth[label] = max((depth[o] + 1 for o in orthogonal_to if o in depth), default=0)
+            key = (depth[label], len(orthogonal_to))
+            stages.setdefault(key, []).append((label, orthogonal_to))
+        cls.STAGES = tuple(tuple(stages[key]) for key in sorted(stages))
+        cls._inner_pairs = InnerPairs(cls.OVERLAPS)
 
     # A mappingproxy does not pickle, so pickle and deepcopy carry a plain dict.
     def __getstate__(self) -> dict:
@@ -116,23 +120,31 @@ class Scenario:
     def build(cls, params: Params, seeds: Mapping[str, StateVector], **fields: StateVector):
         """The scenario that completes ``seeds`` (label -> vector) along ``DERIVED``.
 
-        Each derived label, in order, is the ``orthogonal_complement`` of the
-        vectors it is orthogonal to. ``fields`` are the fields no label names.
+        Each derived label is the orthogonal complement of the vectors it is
+        orthogonal to, with the bits of an ``orthogonal_complement`` call;
+        each of ``STAGES`` takes one ``orthogonal_complements`` call. ``fields``
+        are the fields no label names.
         """
         vectors = dict(seeds)
-        for label, orthogonal_to in cls.DERIVED:
-            vectors[label] = orthogonal_complement(
-                [vectors[other] for other in orthogonal_to], cls.DIM
-            )
-        return cls(params, MappingProxyType(vectors), **fields)
+        for stage in cls.STAGES:
+            groups = [[vectors[other] for other in orthogonal_to] for _, orthogonal_to in stage]
+            derived = orthogonal_complements(groups, cls.DIM)
+            vectors.update(zip([label for label, _ in stage], derived))
+        # Stages finish out of DERIVED order; ``vectors`` keeps LABELS order.
+        ordered = {label: vectors[label] for label in cls.LABELS}
+        return cls(params, MappingProxyType(ordered), **fields)
 
     def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""
         return self.vectors
 
-    def overlaps(self) -> Overlaps:
-        """A fresh ``Overlaps`` cache over this scenario's labelled vectors."""
-        return Overlaps(self.vectors)
+    def overlaps(self) -> dict[tuple[str, str], complex]:
+        """``o[x, y]`` = <x|y> for every pair of ``OVERLAPS``, from one stacked pass.
+
+        A pair that ``OVERLAPS`` does not list is a ``KeyError``; ``o[y, x]``
+        is an entry of its own.
+        """
+        return dict(zip(self.OVERLAPS, self._inner_pairs(self.vectors)))
 
     def report(self, *rows: tuple[str, Scalar, Scalar]) -> RelationReport:
         """The report of ``(id, formula value, direct value)`` rows, in order."""

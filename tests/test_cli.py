@@ -286,6 +286,14 @@ class TestSweep:
                      "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["alpha", "beta"])
+    def test_negative_range_in_equals_form_reaches_the_domain_check(self, tmp_path, capsys, axis):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "3", f"--{axis}-range=-0.5,0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {axis}=-0.5 ")
+        assert not out.exists()
+
     def test_range_inside_unit_interval_but_out_of_domain_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "3", "--alpha-range", "1e-12,0.5",

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from contextnet.errors import DegenerateSpan, DimensionMismatch, NotNormalized
 from contextnet.hilbert import (
+    ORTH_TOL,
+    InnerPairs,
     StateVector,
     basis_vector,
     born_probability,
@@ -15,6 +17,7 @@ from contextnet.hilbert import (
     complete_context,
     inner,
     orthogonal_complement,
+    orthogonal_complements,
     tensor,
 )
 
@@ -247,6 +250,136 @@ class TestOrthogonalComplement:
         assert np.array_equal(first.components, second.components)
 
 
+#: Components that exercise signed zeros and subnormals.
+SPECIAL_COMPONENTS = (
+    0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    5e-324, -5e-324, complex(0.0, 1e-310), complex(-2.5e-308, 5e-324),
+)
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _random_components(rng, dim, special=0.3):
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for i in np.flatnonzero(rng.random(dim) < special):
+        c[i] = SPECIAL_COMPONENTS[rng.integers(len(SPECIAL_COMPONENTS))]
+    return c
+
+
+def _alone_svd_complement(group, dim):
+    """The complement from one SVD of this group alone, spelled out."""
+    m = np.array([v.components for v in group], dtype=np.complex128).reshape(-1, dim)
+    _, _, vh = np.linalg.svd(m)
+    return canonical_phase(vh[-1])
+
+
+class TestStackedBits:
+    """The stacked SVD and the stacked inner products keep every bit of the per-item calls."""
+
+    def _group(self, rng, dim, size):
+        vectors = [StateVector(_random_components(rng, dim)) for _ in range(size)]
+        kind = rng.integers(4)
+        eps = (1e-3, 1e-4, 2e-5, 7e-6)[rng.integers(4)]
+        if kind == 1 and size >= 2:  # two inputs nearly parallel
+            vectors[1] = StateVector(vectors[0].components + eps * _random_components(rng, dim, 0))
+        elif kind == 2:  # one input nearly zero
+            vectors[0] = StateVector(eps * vectors[0].components)
+        return vectors
+
+    def test_stacked_complements_equal_per_group_bytes(self):
+        rng = np.random.default_rng(20261018)
+        outcomes = {"equal": 0, "raised": 0}
+        for dim in (2, 3, 4):
+            for k in (1, 2, 3, 4):
+                for _ in range(60):
+                    size = dim - 1 if rng.random() < 0.8 else int(rng.integers(1, dim + 1))
+                    groups = [self._group(rng, dim, size) for _ in range(k)]
+                    alone, first_error = [], None
+                    for group in groups:
+                        try:
+                            alone.append(orthogonal_complement(group, dim))
+                        except DegenerateSpan as exc:
+                            first_error = first_error or exc
+                    if first_error is not None:
+                        with pytest.raises(DegenerateSpan) as info:
+                            orthogonal_complements(groups, dim)
+                        assert str(info.value) == str(first_error)
+                        outcomes["raised"] += 1
+                        continue
+                    stacked = orthogonal_complements(groups, dim)
+                    assert len(stacked) == k
+                    for group, got, want in zip(groups, stacked, alone):
+                        assert got.components.tobytes() == want.components.tobytes()
+                        reference = _alone_svd_complement(group, dim)
+                        assert got.components.tobytes() == reference.tobytes()
+                    outcomes["equal"] += 1
+        assert outcomes["equal"] > 300 and outcomes["raised"] > 100
+
+    @pytest.mark.parametrize("bad", ["parallel", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bad_group_anywhere_raises_as_it_does_alone(self, bad, k):
+        rng = np.random.default_rng([k, len(bad)])
+        u = StateVector(_random_components(rng, 3, 0))
+        bad_group = {
+            "parallel": [u, StateVector(2j * u.components)],
+            "zero": [u, StateVector([0.0, -0.0, 0.0])],
+            "nan": [StateVector([math.nan, 0.0, 0.0]), basis_vector(3, 1)],
+            "inf": [StateVector([math.inf, 0.0, 0.0]), basis_vector(3, 1)],
+        }[bad]
+        with pytest.raises(DegenerateSpan) as alone:
+            orthogonal_complement(bad_group, 3)
+        for position in range(k):
+            groups = [[StateVector(_random_components(rng, 3, 0)) for _ in range(2)]
+                      for _ in range(k)]
+            groups[position] = bad_group
+            with pytest.raises(DegenerateSpan) as stacked:
+                orthogonal_complements(groups, 3)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_wrong_dimension_anywhere_raises_as_it_does_alone(self):
+        groups = [
+            [basis_vector(3, 0), basis_vector(3, 1)],
+            [basis_vector(3, 0), basis_vector(2, 1)],
+        ]
+        with pytest.raises(DimensionMismatch) as alone:
+            orthogonal_complement(groups[1], 3)
+        with pytest.raises(DimensionMismatch) as stacked:
+            orthogonal_complements(groups, 3)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_empty_stack(self):
+        assert orthogonal_complements([], 3) == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_inner_pairs_equal_inner_bit_for_bit(self, dim):
+        rng = np.random.default_rng([20261018, dim])
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            vectors = {f"v{i}": StateVector(_random_components(rng, dim)) for i in range(n)}
+            labels = list(vectors)
+            pairs = [tuple(rng.choice(labels, size=2)) for _ in range(rng.integers(1, 40))]
+            got = InnerPairs(pairs)(vectors)
+            assert all(type(z) is complex for z in got)
+            want = [inner(vectors[x], vectors[y]) for x, y in pairs]
+            assert [_hex(z) for z in got] == [_hex(z) for z in want]
+
+    def test_inner_pairs_keep_signed_zeros(self):
+        u = StateVector([complex(-0.0, 0.0), complex(0.0, -0.0)])
+        v = StateVector([complex(0.0, -0.0), complex(-0.0, -0.0)])
+        w = StateVector([5e-324, complex(-0.0, 5e-324)])
+        vectors = {"u": u, "v": v, "w": w}
+        pairs = [(x, y) for x in vectors for y in vectors]
+        got = InnerPairs(pairs)(vectors)
+        assert [_hex(z) for z in got] == [_hex(inner(vectors[x], vectors[y])) for x, y in pairs]
+
+    def test_inner_pairs_edge_cases(self):
+        assert InnerPairs([])({}) == []
+        with pytest.raises(DimensionMismatch):
+            InnerPairs([("a", "b")])({"a": basis_vector(2, 0), "b": basis_vector(3, 0)})
+
+
 class TestCanonicalPhase:
     def test_rotates_first_significant_component(self):
         v = canonical_phase(np.array([0.0, 1j, 1.0]))
@@ -256,6 +389,15 @@ class TestCanonicalPhase:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             canonical_phase(np.zeros(3, dtype=complex))
+
+    def test_bits_equal_the_np_angle_form(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            c = _random_components(rng, int(rng.integers(1, 5)), special=0.4)
+            first = next((x for x in c if abs(x) > ORTH_TOL), None)
+            if first is not None:
+                want = c * np.exp(-1j * np.angle(first))
+                assert canonical_phase(c).tobytes() == want.tobytes()
 
 
 class TestCompleteContext:

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from contextnet.errors import EmptyTrials, IncompleteContext
+from contextnet.errors import (
+    DimensionMismatch,
+    EmptyTrials,
+    IncompleteContext,
+    NotNormalized,
+)
 from contextnet.hardy3 import ScenarioParams, build_scenario
 from contextnet.hilbert import (
     StateVector,
@@ -95,6 +100,14 @@ class TestSampleContext:
     def test_zero_trials_rejected(self, central_context):
         with pytest.raises(EmptyTrials):
             sample_context(basis_vector(3, 0), central_context, seed=1, trials=0)
+
+    def test_prep_of_another_dimension_rejected(self, central_context):
+        with pytest.raises(DimensionMismatch):
+            sample_context(basis_vector(4, 0), central_context, seed=1, trials=10)
+
+    def test_unnormalized_prep_rejected(self, central_context):
+        with pytest.raises(NotNormalized, match="prep"):
+            sample_context(StateVector([2.0, 0.0, 0.0]), central_context, seed=1, trials=10)
 
     def test_trials_beyond_the_sampler_rejected(self, central_context):
         top = sample_context(basis_vector(3, 0), central_context, seed=1, trials=MAX_TRIALS)

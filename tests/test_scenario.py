@@ -2,11 +2,11 @@
 
 The reference functions below repeat, call by call, the arithmetic the
 scenario modules had before their builders and reports went through
-``Scenario.build`` and ``Scenario.report``: one explicit
-``orthogonal_complement`` call per derived vector and one ``inner`` call
-per overlap of a relation row. Built vectors and reports must equal them
-byte for byte, so a change in how the table is walked or the overlaps are
-computed cannot move a bit unnoticed.
+``Scenario.build`` and ``Scenario.report``: one SVD of each derived
+vector's inputs alone (``reference_complement``) and one ``inner`` call per
+overlap of a relation row. Built vectors and reports must equal them byte
+for byte, so a change in how the table is walked, how the SVDs are stacked
+or how the overlaps are computed cannot move a bit unnoticed.
 """
 
 import cmath
@@ -27,7 +27,6 @@ from contextnet.hilbert import (
     StateVector,
     basis_vector,
     inner,
-    orthogonal_complement,
     tensor,
 )
 from contextnet.network import builtin_network
@@ -85,7 +84,6 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
     for label, attr in s.LABELS.items():
         assert getattr(s, attr) is s.vectors[label]
     assert s.realization() is s.vectors
-    assert s.overlaps().vectors is s.vectors
     twin = build(params)
     assert twin == s and hash(twin) == hash(s)
     assert build(other) != s
@@ -97,11 +95,58 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
 def test_overlaps_are_inner_products_computed_once():
     s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
     o = s.overlaps()
-    first = o["D1", "3"]
-    assert first == inner(s.d1, s.k3)
-    assert o["D1", "3"] is first
-    assert o["3", "D1"] == inner(s.k3, s.d1)
-    assert len(o) == 2
+    assert list(o) == list(s.OVERLAPS)
+    for (x, y), value in o.items():
+        want = inner(s.vectors[x], s.vectors[y])
+        assert type(value) is complex
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert ("D1", "3") in o and ("3", "D1") not in o
+    with pytest.raises(KeyError):
+        o["3", "D1"]
+
+
+class _ReadPairs(dict):
+    """An overlap table that records which pairs are read."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, pair):
+        self.read.add(pair)
+        return super().__getitem__(pair)
+
+
+@pytest.mark.parametrize("build,verify,params", [
+    (build_scenario, verify_hardy, ScenarioParams(0.3, 0.7, 0.4, 2.1)),
+    (build_nonlocal, verify_nonlocal, LocalParams(0.3, 1.1)),
+])
+def test_overlaps_lists_exactly_the_pairs_the_relations_read(build, verify, params, monkeypatch):
+    s = build(params)
+    tables = []
+    original = type(s).overlaps
+
+    def recording(self):
+        tables.append(_ReadPairs(original(self)))
+        return tables[-1]
+
+    monkeypatch.setattr(type(s), "overlaps", recording)
+    verify(s)
+    assert len(tables) == 1
+    assert len(set(s.OVERLAPS)) == len(s.OVERLAPS)
+    assert tables[0].read == set(s.OVERLAPS)
+
+
+@pytest.mark.parametrize("build,params,stages", [
+    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1), [["S1", "S2", "N_f"], ["f"]]),
+    (build_nonlocal, LocalParams(0.3, 1.1), [["f_NL", "N_f"]]),
+])
+def test_stages_group_derived_by_dependency_and_vectors_keep_labels_order(build, params, stages):
+    s = build(params)
+    assert [[label for label, _ in stage] for stage in s.STAGES] == stages
+    assert sorted(entry for stage in s.STAGES for entry in stage) == sorted(s.DERIVED)
+    # hardy3's f is in the last stage, after N_f, but keeps its LABELS place
+    assert list(s.vectors) == list(s.LABELS)
 
 
 def make_points(seed, n):
@@ -127,16 +172,30 @@ def make_points(seed, n):
     return points
 
 
+def reference_complement(vectors, dim):
+    """The complement as one SVD of these inputs alone: the last right-singular row, phased.
+
+    The phase canon is spelled out too: the first component above
+    ``ORTH_TOL`` is rotated by ``np.exp(-1j * np.angle(c))``.
+    """
+    m = np.array([v.components for v in vectors], dtype=np.complex128).reshape(-1, dim)
+    _, sv, vh = np.linalg.svd(m)
+    assert np.count_nonzero(sv * sv > ORTH_TOL) == dim - 1
+    row = vh[-1]
+    c = next(c for c in row if abs(c) > ORTH_TOL)
+    return StateVector(row * np.exp(-1j * np.angle(c)))
+
+
 def reference_hardy(p):
     """(label -> vector, report) of the dimension-3 scenario, spelled out."""
     a, b = p.alpha, p.beta
     k1, k2, k3 = (basis_vector(3, i) for i in range(3))
     d1 = StateVector([0.0, math.sqrt(1.0 - a), cmath.exp(1j * p.phase_d1) * math.sqrt(a)])
     d2 = StateVector([math.sqrt(1.0 - b), 0.0, cmath.exp(1j * p.phase_d2) * math.sqrt(b)])
-    s1 = orthogonal_complement([k1, d1], 3)
-    s2 = orthogonal_complement([k2, d2], 3)
-    f = orthogonal_complement([s1, s2], 3)
-    n_f = orthogonal_complement([d1, d2], 3)
+    s1 = reference_complement([k1, d1], 3)
+    s2 = reference_complement([k2, d2], 3)
+    f = reference_complement([s1, s2], 3)
+    n_f = reference_complement([d1, d2], 3)
     vectors = {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2,
                "S1": s1, "S2": s2, "f": f, "N_f": n_f}
 
@@ -173,13 +232,13 @@ def reference_nonlocal(p):
     x = p.a2
     k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
     ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
-    kb = orthogonal_complement([ka], 2)
+    kb = reference_complement([ka], 2)
     k00, k01, k10, k11 = (tensor(u, v) for u in (k0, k1) for v in (k0, k1))
     ka0, k0a = tensor(ka, k0), tensor(k0, ka)
     kb0, k0b = tensor(kb, k0), tensor(k0, kb)
     kaa = tensor(ka, ka)
-    f_nl = orthogonal_complement([kb0, k0b, k11], 4)
-    n_f = orthogonal_complement([ka0, k0a, k11], 4)
+    f_nl = reference_complement([kb0, k0b, k11], 4)
+    n_f = reference_complement([ka0, k0a, k11], 4)
     vectors = {
         "k0": k0, "k1": k1, "ka": ka, "kb": kb,
         "0,0": k00, "0,1": k01, "1,0": k10, "1,1": k11,
