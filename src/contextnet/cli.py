@@ -30,7 +30,7 @@ import numpy as np
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
 from .errors import ContextNetError, require_interior
-from .network import builtin_network, network_to_json
+from .network import NETWORKS, builtin_network, network_to_json
 from .report import report_to_json
 
 #: A relation with residual at or above this fails the verify command.
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--trials", type=int, required=True)
 
     p_graph = sub.add_parser("graph", help="print a built-in network as JSON")
-    p_graph.add_argument("--figure", type=int, choices=[1, 2, 3, 4], required=True)
+    p_graph.add_argument("--figure", type=int, choices=list(NETWORKS), required=True)
 
     return parser
 

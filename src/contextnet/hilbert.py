@@ -276,14 +276,14 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVect
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
         NotNormalized: if an input is not unit norm.
-        DegenerateSpan: if the inputs are not mutually orthogonal, or are
-            not finite.
+        DegenerateSpan: if the inputs are not mutually orthogonal (some
+            |<u|v>| is not below ``ORTH_TOL``), or are not finite.
     """
     vecs = list(vectors)
     (rank,), (vh,) = _null_spaces([vecs], dim)
     for i, v in enumerate(vecs):
         if not v.is_normalized():
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
-        if any(abs(np.vdot(u.components, v.components)) > ORTH_TOL for u in vecs[:i]):
+        if any(not abs(inner(u, v)) < ORTH_TOL for u in vecs[:i]):
             raise DegenerateSpan("inputs are not mutually orthogonal")
     return vecs + [StateVector(canonical_phase(row)) for row in vh[rank:]]

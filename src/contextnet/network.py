@@ -35,21 +35,11 @@ Four diagrams are built in:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Mapping, Union
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import DimensionMismatch, MissingAssignment
 from .hilbert import ORTH_TOL, InnerPairs, StateVector
-
-
-class Figure(Enum):
-    """The built-in orthogonality diagrams."""
-
-    FIG1 = 1
-    FIG2 = 2
-    FIG3 = 3
-    FIG4 = 4
-
 
 Pair = tuple[str, str]
 
@@ -60,8 +50,8 @@ def _pair(a: str, b: str) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def _pairs(raw) -> frozenset[Pair]:
-    return frozenset(_pair(a, b) for a, b in raw)
+def _pairs(raw) -> tuple[Pair, ...]:
+    return tuple(sorted({_pair(a, b) for a, b in raw}))
 
 
 @dataclass(frozen=True)
@@ -69,18 +59,15 @@ class ContextNetwork:
     """Labeled orthogonality graph with mandatory non-orthogonality pairs.
 
     Nodes may be given in any sequence and are stored as a tuple. Pairs may
-    be given in any order and container; construction stores them as
-    frozensets of sorted pairs, and once more as sorted tuples
-    (``sorted_edges``, ``sorted_non_edges``) in the order validation and
-    serialization walk them. ``pair_inner`` computes the overlaps of both
-    lists, edges first, in one stacked pass.
+    be given in any order and container; construction stores each set once,
+    as the sorted tuple of sorted pairs that validation and serialization
+    walk. ``pair_inner`` computes the overlaps of both tuples, edges first,
+    in one stacked pass.
     """
 
     nodes: tuple[str, ...]
-    edges: frozenset[Pair]
-    required_non_edges: frozenset[Pair] = field(default_factory=frozenset)
-    sorted_edges: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
-    sorted_non_edges: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
+    edges: tuple[Pair, ...]
+    required_non_edges: tuple[Pair, ...] = ()
     pair_inner: InnerPairs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -90,16 +77,13 @@ class ContextNetwork:
         object.__setattr__(self, "edges", _pairs(self.edges))
         object.__setattr__(self, "required_non_edges", _pairs(self.required_non_edges))
         known = set(self.nodes)
-        for a, b in self.edges | self.required_non_edges:
+        for a, b in self.edges + self.required_non_edges:
             if a not in known or b not in known:
                 raise ValueError(f"pair ({a!r}, {b!r}) references an unknown node")
-        overlap = self.edges & self.required_non_edges
+        overlap = set(self.edges) & set(self.required_non_edges)
         if overlap:
             raise ValueError(f"pairs marked both orthogonal and non-orthogonal: {sorted(overlap)}")
-        object.__setattr__(self, "sorted_edges", tuple(sorted(self.edges)))
-        object.__setattr__(self, "sorted_non_edges", tuple(sorted(self.required_non_edges)))
-        pairs = self.sorted_edges + self.sorted_non_edges
-        object.__setattr__(self, "pair_inner", InnerPairs(pairs))
+        object.__setattr__(self, "pair_inner", InnerPairs(self.edges + self.required_non_edges))
 
 
 @dataclass(frozen=True)
@@ -111,18 +95,18 @@ class Violation:
     overlap: float
 
 
-_FIG2_NODES = ("1", "2", "3", "D1", "D2", "S1", "S2", "f")
-_FIG2_EDGES = (
-    ("1", "2"), ("1", "3"), ("2", "3"),
-    ("1", "D1"), ("1", "S1"), ("D1", "S1"),
-    ("2", "D2"), ("2", "S2"), ("D2", "S2"),
-    ("f", "S1"), ("f", "S2"),
+# Non-edges list only pairs whose non-orthogonality the scenario guarantees
+# for every interior parameter choice.
+_FIG1 = ContextNetwork(
+    nodes=("1", "2", "3", "D1", "D2"),
+    edges=(("1", "2"), ("1", "3"), ("2", "3"), ("1", "D1"), ("2", "D2")),
+    required_non_edges=(("D1", "D2"), ("D1", "2"), ("D1", "3"), ("D2", "1"), ("D2", "3")),
 )
-# Only pairs whose non-orthogonality the scenario guarantees for every
-# interior parameter choice.
-_FIG2_NON_EDGES = (
-    ("D1", "D2"), ("D1", "2"), ("D1", "3"), ("D2", "1"), ("D2", "3"),
-    ("S1", "S2"), ("f", "3"), ("f", "D1"), ("f", "D2"),
+
+_FIG2 = ContextNetwork(
+    _FIG1.nodes + ("S1", "S2", "f"),
+    _FIG1.edges + (("1", "S1"), ("D1", "S1"), ("2", "S2"), ("D2", "S2"), ("f", "S1"), ("f", "S2")),
+    _FIG1.required_non_edges + (("S1", "S2"), ("f", "3"), ("f", "D1"), ("f", "D2")),
 )
 
 _FIG3_RELABEL = {
@@ -131,35 +115,35 @@ _FIG3_RELABEL = {
 }
 
 _FIG3 = ContextNetwork(
-    nodes=tuple(_FIG3_RELABEL[n] for n in _FIG2_NODES),
-    edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2_EDGES],
-    required_non_edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2_NON_EDGES],
+    nodes=tuple(_FIG3_RELABEL[n] for n in _FIG2.nodes),
+    edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2.edges],
+    required_non_edges=[(_FIG3_RELABEL[a], _FIG3_RELABEL[b]) for a, b in _FIG2.required_non_edges],
 )
 
-_NETWORKS = {
-    Figure.FIG1: ContextNetwork(
-        nodes=("1", "2", "3", "D1", "D2"),
-        edges=(("1", "2"), ("1", "3"), ("2", "3"), ("1", "D1"), ("2", "D2")),
-        required_non_edges=(("D1", "D2"), ("D1", "2"), ("D1", "3"), ("D2", "1"), ("D2", "3")),
-    ),
-    Figure.FIG2: ContextNetwork(_FIG2_NODES, _FIG2_EDGES, _FIG2_NON_EDGES),
-    Figure.FIG3: _FIG3,
-    Figure.FIG4: ContextNetwork(
-        nodes=_FIG3.nodes + ("1,1", "a,a"),
-        edges=_FIG3.edges | {
+#: Figure number -> built-in network (read-only).
+NETWORKS = MappingProxyType({
+    1: _FIG1,
+    2: _FIG2,
+    3: _FIG3,
+    4: ContextNetwork(
+        _FIG3.nodes + ("1,1", "a,a"),
+        _FIG3.edges + (
             ("1,1", "0,0"), ("1,1", "0,1"), ("1,1", "1,0"),
             ("1,1", "a,0"), ("1,1", "0,a"), ("1,1", "b,0"), ("1,1", "0,b"),
             ("1,1", "f_NL"),
             ("a,a", "b,0"), ("a,a", "0,b"),
-        },
-        required_non_edges=_FIG3.required_non_edges | {("1,1", "a,a"), ("f_NL", "a,a")},
+        ),
+        _FIG3.required_non_edges + (("1,1", "a,a"), ("f_NL", "a,a")),
     ),
-}
+})
 
 
-def builtin_network(figure: Union[Figure, int]) -> ContextNetwork:
-    """Return the orthogonality network of one of the built-in diagrams."""
-    return _NETWORKS[Figure(figure)]
+def builtin_network(figure: int) -> ContextNetwork:
+    """The built-in network of ``figure``; a figure ``NETWORKS`` lacks is a ``ValueError``."""
+    try:
+        return NETWORKS[figure]
+    except (KeyError, TypeError):
+        raise ValueError(f"{figure!r} is not a built-in figure {list(NETWORKS)}") from None
 
 
 def validate_realization(
@@ -167,8 +151,9 @@ def validate_realization(
 ) -> list[Violation]:
     """Check a concrete vector assignment against a network's constraints.
 
-    Returns one Violation per edge whose overlap magnitude is >= ``ORTH_TOL``
-    and per required non-edge whose overlap magnitude is < ``ORTH_TOL``; an
+    Returns one Violation per edge whose overlap magnitude is not below
+    ``ORTH_TOL`` and per required non-edge whose overlap magnitude is not at
+    or above it, so a NaN overlap breaks either kind of pair; an
     empty list means the assignment realizes the network faithfully. Labels
     present in the assignment but absent from the network are ignored.
 
@@ -186,15 +171,16 @@ def validate_realization(
     # abs of each Python complex, as abs(inner(...)) takes it: np.abs of the
     # complex array can differ from it in the last bit.
     overlaps = [abs(z) for z in net.pair_inner(assignment)]
-    edges = net.sorted_edges
+    edges = net.edges
+    # Written as "not below" and "not at or above", so a NaN overlap breaks both.
     violations = [
         Violation("edge", pair, overlap)
-        for pair, overlap in zip(edges, overlaps) if overlap >= ORTH_TOL
+        for pair, overlap in zip(edges, overlaps) if not overlap < ORTH_TOL
     ]
     violations += [
         Violation("non_edge", pair, overlap)
-        for pair, overlap in zip(net.sorted_non_edges, overlaps[len(edges):])
-        if overlap < ORTH_TOL
+        for pair, overlap in zip(net.required_non_edges, overlaps[len(edges):])
+        if not overlap >= ORTH_TOL
     ]
     return violations
 
@@ -203,6 +189,6 @@ def network_to_json(net: ContextNetwork) -> dict:
     """Serialize a network to the plain-JSON document schema."""
     return {
         "nodes": list(net.nodes),
-        "edges": [list(p) for p in net.sorted_edges],
-        "non_edges": [list(p) for p in net.sorted_non_edges],
+        "edges": [list(p) for p in net.edges],
+        "non_edges": [list(p) for p in net.required_non_edges],
     }

@@ -60,8 +60,9 @@ class LocalParams(Params):
 class NonlocalScenario(Scenario):
     """Product kets and the two derived outcomes by label, plus the local kets.
 
-    The dimension-2 kets |0>, |1>, a and b are fields of their own: they are
-    not figure nodes, so every ``vectors`` entry is a dimension-4 state.
+    The dimension-2 kets |0>, |1>, a and b are not figure nodes, so every
+    ``vectors`` entry is a dimension-4 state: |0> and |1> are the class
+    constants ``k0``, ``k1`` from ``BASIS``; a and b are fields.
     """
 
     LABELS = {
@@ -79,10 +80,9 @@ class NonlocalScenario(Scenario):
         ("a,a", "N_f"), ("a,a", "f_NL"),
     )
     SAMPLED = ("N_f", "a,a")
+    k0, k1 = BASIS
 
     params: LocalParams
-    k0: StateVector
-    k1: StateVector
     ka: StateVector
     kb: StateVector
 
@@ -96,7 +96,7 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     from ``BASIS`` and ``PRODUCT_BASIS``.
     """
     a2 = params.a2
-    k0, k1 = BASIS
+    k0 = BASIS[0]
     k00, k01, k10, k11 = PRODUCT_BASIS
     ka = StateVector(
         [cmath.exp(1j * params.phase_a) * math.sqrt(a2), math.sqrt(1.0 - a2)]
@@ -108,7 +108,7 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
         "b,0": tensor(kb, k0), "0,b": tensor(k0, kb),
         "a,a": tensor(ka, ka),
     }
-    return NonlocalScenario.build(params, seeds, k0=k0, k1=k1, ka=ka, kb=kb)
+    return NonlocalScenario.build(params, seeds, ka=ka, kb=kb)
 
 
 def predicted_fnl_nf(a2: float) -> float:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +14,11 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import contextnet
-from contextnet import hardy3
+from contextnet import cli, hardy3
 from contextnet.cli import RESIDUAL_THRESHOLD, main
 from contextnet.errors import BOUNDARY_MARGIN
 from contextnet.network import ContextNetwork, builtin_network
+from contextnet.report import report_to_json
 
 
 def scalar_sweep(alphas, betas, out):
@@ -103,6 +106,45 @@ class TestVerify:
             ))
             assert main(["verify", "hardy3", "--params", str(path)]) == 0
             capsys.readouterr()
+
+
+class TestVerifyFailure:
+    """A relation at or above the threshold, or NaN, exits 1 after the full report."""
+
+    def _run(self, params_path, capsys):
+        code = main(["verify", "hardy3", "--params", params_path])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        del doc["metadata"]["timestamp"]
+        return code, doc, err
+
+    def test_zero_threshold_fails_the_first_relation(self, hardy_params, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RESIDUAL_THRESHOLD", 0.0)
+        code, doc, err = self._run(hardy_params, capsys)
+        expected = hardy3.verify_all(hardy3.build_scenario(hardy3.ScenarioParams(0.5, 0.5)))
+        assert code == 1
+        assert doc == report_to_json(expected)
+        assert err.splitlines() == [f"FAIL {expected.relations[0].id}: residual >= 0.0"]
+
+    def test_nan_residual_fails(self, hardy_params, capsys, monkeypatch):
+        verify_all = hardy3.verify_all
+
+        def with_nan_residual(s):
+            report = verify_all(s)
+            relations = list(report.relations)
+            relations[2] = dataclasses.replace(relations[2], residual=math.nan)
+            return dataclasses.replace(report, relations=tuple(relations))
+
+        monkeypatch.setattr(hardy3, "verify_all", with_nan_residual)
+        code, doc, err = self._run(hardy_params, capsys)
+        expected = with_nan_residual(hardy3.build_scenario(hardy3.ScenarioParams(0.5, 0.5)))
+        assert code == 1
+        assert len(doc["relations"]) == len(expected.relations)
+        assert math.isnan(doc["relations"][2]["residual"])
+        assert json.dumps(doc) == json.dumps(report_to_json(expected))
+        assert err.splitlines() == [
+            f"FAIL {expected.relations[2].id}: residual >= {RESIDUAL_THRESHOLD}"
+        ]
 
 
 @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -321,6 +363,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option[2:-6]} range [") and err.count("\n") == 1
         assert out.read_bytes() == b"previous run\r\n"
+
+
+    @pytest.mark.parametrize("option", ["--alpha-range", "--beta-range"])
+    @pytest.mark.parametrize("text,reason", [
+        ("0.1", "expected 'lo,hi', got '0.1'"),
+        ("0.1,0.2,0.3", "expected 'lo,hi', got '0.1,0.2,0.3'"),
+        ("x,0.5", "invalid _parse_range value: 'x,0.5'"),
+    ], ids=["one-value", "three-values", "not-a-number"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-file", "existing-file"])
+    def test_malformed_range_exits_2_through_argparse(
+            self, tmp_path, capsys, option, text, reason, existing):
+        out = tmp_path / "sweep.csv"
+        if existing:
+            out.write_bytes(b"previous run\r\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", "3", f"{option}={text}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {reason}\n")
+        if existing:
+            assert out.read_bytes() == b"previous run\r\n"
+        else:
+            assert not out.exists()
 
 
 class TestParser:

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from contextnet.errors import DimensionMismatch, MissingAssignment
 from contextnet.hardy3 import ScenarioParams, build_scenario
-from contextnet.hilbert import ORTH_TOL, basis_vector, inner
+from contextnet.hilbert import ORTH_TOL, StateVector, basis_vector, inner
 from contextnet.network import (
     ContextNetwork,
-    Figure,
     Violation,
     builtin_network,
     network_to_json,
@@ -27,7 +26,7 @@ def _edge_set(net):
 
 class TestBuiltinNetworks:
     def test_fig1_exact(self):
-        net = builtin_network(Figure.FIG1)
+        net = builtin_network(1)
         assert set(net.nodes) == {"1", "2", "3", "D1", "D2"}
         assert _edge_set(net) == {
             ("1", "2"), ("1", "3"), ("2", "3"), ("1", "D1"), ("2", "D2"),
@@ -35,7 +34,7 @@ class TestBuiltinNetworks:
         assert ("D1", "D2") in net.required_non_edges
 
     def test_fig2_counts_and_cliques(self):
-        net = builtin_network(Figure.FIG2)
+        net = builtin_network(2)
         assert len(net.nodes) == 8
         assert len(net.edges) == 11
         # each context is a clique
@@ -61,7 +60,7 @@ class TestBuiltinNetworks:
         }
 
     def test_fig4_shape(self):
-        net = builtin_network(Figure.FIG4)
+        net = builtin_network(4)
         assert len(net.nodes) == 10
         assert sum(1 for e in net.edges if "1,1" in e) >= 7
         assert ("a,a", "b,0") in net.edges
@@ -71,12 +70,39 @@ class TestBuiltinNetworks:
         assert ("a,0", "a,a") not in net.edges
 
     def test_construction_is_deterministic(self):
-        assert builtin_network(2) == builtin_network(Figure.FIG2)
+        net = builtin_network(2)
+        rebuilt = ContextNetwork(
+            list(net.nodes),
+            [(b, a) for a, b in reversed(net.edges)],
+            set(net.required_non_edges),
+        )
+        assert rebuilt == net
+        assert rebuilt.edges == net.edges
+        assert rebuilt.required_non_edges == net.required_non_edges
+
+    def test_each_pair_set_is_one_sorted_tuple(self):
+        for fig in (1, 2, 3, 4):
+            net = builtin_network(fig)
+            for pairs in (net.edges, net.required_non_edges):
+                assert isinstance(pairs, tuple)
+                assert list(pairs) == sorted({tuple(sorted(p)) for p in pairs})
+
+    @pytest.mark.parametrize("base,extended", [(1, 2), (3, 4)])
+    def test_figure_extends_its_predecessor(self, base, extended):
+        small, big = builtin_network(base), builtin_network(extended)
+        assert big.nodes[:len(small.nodes)] == small.nodes
+        assert set(small.edges) < set(big.edges)
+        assert set(small.required_non_edges) < set(big.required_non_edges)
+
+    @pytest.mark.parametrize("figure", [0, 5, "2", None, [2]])
+    def test_unknown_figure_raises_value_error(self, figure):
+        with pytest.raises(ValueError, match="not a built-in figure"):
+            builtin_network(figure)
 
     def test_edges_and_non_edges_disjoint(self):
-        for fig in Figure:
+        for fig in (1, 2, 3, 4):
             net = builtin_network(fig)
-            assert not (net.edges & net.required_non_edges)
+            assert not (set(net.edges) & set(net.required_non_edges))
             for a, b in net.edges:
                 assert a != b
 
@@ -147,6 +173,23 @@ class TestValidateRealization:
         with pytest.raises(DimensionMismatch):
             validate_realization(builtin_network(1), assignment)
 
+    def test_nan_vector_breaks_every_pair_it_is_in(self):
+        s = build_scenario(ScenarioParams(0.5, 0.5))
+        assignment = dict(s.realization())
+        assignment["f"] = StateVector([np.nan, 0, 0])
+        violations = validate_realization(builtin_network(2), assignment)
+        assert [(v.kind, v.pair) for v in violations] == [
+            ("edge", ("S1", "f")), ("edge", ("S2", "f")),
+            ("non_edge", ("3", "f")), ("non_edge", ("D1", "f")), ("non_edge", ("D2", "f")),
+        ]
+        assert all(np.isnan(v.overlap) for v in violations)
+
+    def test_all_nan_assignment_breaks_every_pair(self):
+        net = builtin_network(2)
+        nan = StateVector([np.nan, np.nan, np.nan])
+        violations = validate_realization(net, {n: nan for n in net.nodes})
+        assert [v.pair for v in violations] == list(net.edges + net.required_non_edges)
+
     def test_extra_labels_are_ignored(self):
         s = build_scenario(ScenarioParams(0.3, 0.7))
         # the scenario carries N_f, which Figure 2 does not mention
@@ -172,8 +215,8 @@ def _reference_violations(net, assignment):
     """Violations from a plain loop over sorted pairs and ``inner``."""
     found = []
     for kind, pairs, broken in (
-        ("edge", net.edges, lambda x: x >= ORTH_TOL),
-        ("non_edge", net.required_non_edges, lambda x: x < ORTH_TOL),
+        ("edge", net.edges, lambda x: not x < ORTH_TOL),
+        ("non_edge", net.required_non_edges, lambda x: not x >= ORTH_TOL),
     ):
         for a, b in sorted(pairs):
             overlap = abs(inner(assignment[a], assignment[b]))

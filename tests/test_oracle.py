@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from contextnet.errors import (
+    DegenerateSpan,
     DimensionMismatch,
     EmptyTrials,
     IncompleteContext,
@@ -42,6 +43,10 @@ class TestMeasurementContext:
     def test_accepts_complete_basis(self, central_context):
         assert central_context.dim == 3
 
+    def test_rejects_no_outcomes(self):
+        with pytest.raises(IncompleteContext, match="at least one outcome"):
+            MeasurementContext(())
+
     def test_rejects_missing_outcome(self):
         with pytest.raises(IncompleteContext):
             MeasurementContext((basis_vector(3, 0), basis_vector(3, 1)))
@@ -50,6 +55,14 @@ class TestMeasurementContext:
         v = StateVector(np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
         with pytest.raises(IncompleteContext):
             MeasurementContext((basis_vector(3, 0), v, basis_vector(3, 2)))
+
+    def test_overlap_of_exactly_orth_tol_is_rejected_by_both_checks(self):
+        # <e0|v> is exactly 1e-10 = ORTH_TOL: not orthogonal for either check
+        e0, v = basis_vector(3, 0), StateVector([1e-10, 1.0, 0.0])
+        with pytest.raises(IncompleteContext, match="mutually orthogonal"):
+            MeasurementContext((e0, v, basis_vector(3, 2)))
+        with pytest.raises(DegenerateSpan, match="mutually orthogonal"):
+            complete_context([e0, v], 3)
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(IncompleteContext):
