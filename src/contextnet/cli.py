@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,53 @@ RESIDUAL_THRESHOLD = 1e-10
 #: Exit status when stdout's reader has gone: 128 + SIGPIPE, as a shell reports it.
 BROKEN_PIPE_EXIT = 141
 
+#: json's tokens for the floats that ``float.__repr__`` spells nan, inf and -inf.
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 #: Scenario name -> module. Each module defines ``PARAMS``, ``build`` and
 #: ``verify_all``, looked up on the module at every call.
 SCENARIOS = {"hardy3": hardy3, "nonlocal4": nonlocal4}
+
+
+def _json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, character for character, without an encoder.
+
+    ``doc`` is built of str-keyed dicts, lists, tuples, str, int, float,
+    bool and None, as every document the CLI prints is; anything else, a
+    dict key included, raises TypeError. Strings go through the json
+    module's own ``encode_basestring_ascii``, ints through ``int.__repr__``
+    and floats through ``float.__repr__``, with json's ``NaN``,
+    ``Infinity`` and ``-Infinity``. ``json.dumps`` with an indent runs the
+    json module's Python encoder, which builds closures on every call that
+    only the cyclic garbage collector frees; this makes no cycles.
+    ``indent`` is the line break and indentation that close ``doc``; each
+    level of nesting adds two spaces.
+    """
+    if isinstance(doc, float):
+        text = float.__repr__(doc)
+        return _FLOAT_TOKENS.get(text, text)
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [_json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _build(kind: str, path: str):
@@ -58,7 +103,7 @@ def _build(kind: str, path: str):
 def cmd_verify(kind: str, params_path: str) -> int:
     report = SCENARIOS[kind].verify_all(_build(kind, params_path))
     timestamp = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(report_to_json(report, timestamp=timestamp), indent=2))
+    print(_json_text(report_to_json(report, timestamp=timestamp)))
     failing = [r.id for r in report.relations if not r.residual < RESIDUAL_THRESHOLD]
     if failing:
         print(f"FAIL {failing[0]}: residual >= {RESIDUAL_THRESHOLD}", file=sys.stderr)
@@ -117,12 +162,12 @@ def cmd_sweep(
 
 def cmd_sample(kind: str, params_path: str, seed: int, trials: int) -> int:
     estimate = oracle.estimate(_build(kind, params_path), seed, trials)
-    print(json.dumps(estimate.to_json(), indent=2))
+    print(_json_text(estimate.to_json()))
     return 0
 
 
 def cmd_graph(figure: int) -> int:
-    print(json.dumps(network_to_json(builtin_network(figure)), indent=2))
+    print(_json_text(network_to_json(builtin_network(figure))))
     return 0
 
 

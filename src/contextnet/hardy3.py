@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import require_interior
 from .hilbert import StateVector, basis_vector
-from .report import RelationReport
+from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
 #: The central context |1>, |2>, |3>, shared by every built scenario (read-only).
@@ -125,7 +125,7 @@ def nf_relation_residual(s: HardyScenario) -> float:
     <D2|1><1|N_f> = -<D2|3><3|N_f> and <D1|2><2|N_f> = -<D1|3><3|N_f>.
     """
     report = verify_all(s)
-    return max(report.relation(rel_id).residual for rel_id in ("eq9", "eq10a", "eq10b"))
+    return nan_max(report.relation(rel_id).residual for rel_id in ("eq9", "eq10a", "eq10b"))
 
 
 def predicted_nf3(alpha: float, beta: float) -> float:

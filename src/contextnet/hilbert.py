@@ -39,17 +39,45 @@ class StateVector:
     """Immutable complex vector of fixed finite dimension.
 
     Represents either a measurement outcome or a prepared state. The
-    component array is copied on construction and write-protected.
+    component array is copied on construction and write-protected, so the
+    norm is computed once, on first use, and kept. Vectors this module makes
+    take over their fresh arrays through ``_own`` instead of copying them.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_norm")
 
     def __init__(self, components) -> None:
-        v = np.array(components, dtype=np.complex128).reshape(-1)
+        v = np.array(components, dtype=np.complex128)
+        if v.ndim != 1:
+            v = v.flatten()  # a copy of its own: a reshaped view would alias a writable base
         if v.size == 0:
             raise ValueError("a state vector needs at least one component")
         v.setflags(write=False)
         self._components = v
+        self._norm = None
+
+    @classmethod
+    def _own(cls, v: np.ndarray) -> "StateVector":
+        """The vector of a complex128 array that this module just made, not copied.
+
+        ``v`` must be a non-empty one-dimensional complex128 array that the
+        caller made and holds alone. It must own its data (``v.base is
+        None``), so no writable view of it exists; it is write-protected
+        here. Arrays from outside this module go through the constructor,
+        which copies them.
+        """
+        if v.base is not None:
+            raise ValueError("a state vector takes over only an array that owns its data")
+        v.setflags(write=False)
+        self = cls.__new__(cls)
+        self._components = v
+        self._norm = None
+        return self
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through the constructor, which
+        # copies and write-protects; the default would restore a writable array
+        return type(self), (self._components,)
 
     @property
     def components(self) -> np.ndarray:
@@ -61,7 +89,9 @@ class StateVector:
         return int(self._components.size)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._components))
+        if self._norm is None:
+            self._norm = float(np.linalg.norm(self._components))
+        return self._norm
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= NORM_CHECK_TOL
@@ -88,7 +118,7 @@ def basis_vector(dim: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
-    return StateVector(v)
+    return StateVector._own(v)
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -181,8 +211,9 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
 
     Computed as a broadcast outer product: the same element-wise complex
     multiply as ``np.kron``, so the same bits, without its per-call overhead.
+    ``flatten`` copies the product into an array of its own.
     """
-    return StateVector((u._components[:, None] * v._components).reshape(-1))
+    return StateVector._own((u._components[:, None] * v._components).flatten())
 
 
 def canonical_phase(components: np.ndarray) -> np.ndarray:
@@ -248,7 +279,7 @@ def orthogonal_complements(
             raise DegenerateSpan(
                 f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
             )
-    return [StateVector(canonical_phase(rows[-1])) for rows in vh]
+    return [StateVector._own(canonical_phase(rows[-1])) for rows in vh]
 
 
 def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
@@ -286,4 +317,4 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVect
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
         if any(not abs(inner(u, v)) < ORTH_TOL for u in vecs[:i]):
             raise DegenerateSpan("inputs are not mutually orthogonal")
-    return vecs + [StateVector(canonical_phase(row)) for row in vh[rank:]]
+    return vecs + [StateVector._own(canonical_phase(row)) for row in vh[rank:]]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
-from .report import RelationReport
+from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
 #: Second Schmidt coefficient above this marks a state as entangled.
@@ -178,7 +178,7 @@ def verify_all(s: NonlocalScenario) -> RelationReport:
     aa_factorization = abs(o["a,a", "N_f"] - o["a,a", "f_NL"] * o["f_NL", "N_f"])
     return s.report(
         ("eq17", predicted_fnl_nf(a2), abs(o["f_NL", "N_f"]) ** 2),
-        ("eq18", 0.0, max(float(np.linalg.norm(aa_expansion)), aa_factorization)),
+        ("eq18", 0.0, nan_max((float(np.linalg.norm(aa_expansion)), aa_factorization))),
         ("eq19", predicted_faa(a2), abs(o["f_NL", "a,a"]) ** 2),
         ("eq20", o["a,a", "f_NL"] * o["f_NL", "N_f"], o["a,a", "N_f"]),
         ("eq21", predicted_aa_nf(a2), abs(o["a,a", "N_f"]) ** 2),

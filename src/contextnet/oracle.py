@@ -55,7 +55,11 @@ class MeasurementContext:
                     raise IncompleteContext("outcomes are not mutually orthogonal")
         m = np.array([o.components for o in outcomes])
         completeness = m.conj().T @ m  # sum of projectors
-        if not np.allclose(completeness, np.eye(dim), atol=ORTH_TOL):
+        eye = np.eye(dim)
+        # np.allclose(completeness, eye, atol=ORTH_TOL) as the formula np.isclose
+        # evaluates, |x - y| <= atol + rtol |y| with its default rtol of 1e-05:
+        # the same verdict without the wrapper, since y = eye is finite.
+        if not (np.abs(completeness - eye) <= ORTH_TOL + 1e-05 * eye).all():
             raise IncompleteContext("projectors do not sum to the identity")
 
     @property

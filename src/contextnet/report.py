@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from ._version import __version__
 from .hilbert import PHASE_CANON
 
 Scalar = Union[float, complex]
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """The largest of ``values``, or a NaN among them if there is one.
+
+    The builtin ``max`` keeps its running maximum when a later value is
+    NaN, because every comparison with NaN is false, so it would hide a
+    NaN residual. Without a NaN the result is ``max(values)``, bit for bit.
+    """
+    values = tuple(values)
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,7 @@ class RelationReport:
     relations: tuple[Relation, ...]
 
     def max_residual(self) -> float:
-        return max(r.residual for r in self.relations)
+        return nan_max(r.residual for r in self.relations)
 
     def relation(self, rel_id: str) -> Relation:
         for r in self.relations:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -476,6 +477,66 @@ class TestGraph:
         main(["graph", "--figure", "2"])
         doc = json.loads(capsys.readouterr().out)
         assert ContextNetwork(doc["nodes"], doc["edges"], doc["non_edges"]) == builtin_network(2)
+
+
+#: JSON leaves, with the floats and strings where an encoder could slip.
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 2**63, -(2**64)])
+    | st.text(max_size=12)  # non-ASCII, control characters, quotes and backslashes included
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(max_size=12), children),
+    max_leaves=25,
+)
+
+#: Every document kind the CLI prints: verify and sample for each scenario, graph per figure.
+PRINTING_COMMANDS = [
+    ["verify", "hardy3", "--params", "{hardy3}"],
+    ["verify", "nonlocal4", "--params", "{nonlocal4}"],
+    ["sample", "hardy3", "--params", "{hardy3}", "--seed", "42", "--trials", "1000"],
+    ["sample", "nonlocal4", "--params", "{nonlocal4}", "--seed", "7", "--trials", "1000"],
+] + [["graph", "--figure", str(figure)] for figure in (1, 2, 3, 4)]
+
+
+class TestJsonText:
+    """The CLI's writer gives ``json.dumps(doc, indent=2)`` and leaves no cyclic garbage."""
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_docs)
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {1: 2}, {None: 1}, {1.5}, b"x", np.int64(1), np.bool_(True), [1, object()],
+    ], ids=["int-key", "null-key", "set", "bytes", "np-int", "np-bool", "object"])
+    def test_anything_else_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize("argv", PRINTING_COMMANDS,
+                             ids=lambda argv: "-".join(a for a in argv[:3] if a[0] != "-"))
+    def test_prints_json_dumps_indent_2_and_no_cyclic_garbage(
+        self, argv, hardy_params, nonlocal_params, capsys
+    ):
+        # stdout is the document as json.dumps(doc, indent=2) would print it
+        argv = [a.format(hardy3=hardy_params, nonlocal4=nonlocal_params) for a in argv]
+        main(argv)  # the first call builds the parser and fills the caches
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out.isascii()
+        assert garbage == 0
 
 
 def test_python_m_contextnet_runs_the_cli():

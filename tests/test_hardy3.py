@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextnet import hardy3
 from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import (
     BASIS,
@@ -160,6 +162,20 @@ class TestNfRelations:
             ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             s = build_scenario(ScenarioParams(alpha, beta, ph1, ph2))
             assert nf_relation_residual(s) < 1e-10
+
+    def test_nan_residual_is_not_hidden(self, monkeypatch):
+        verify = hardy3.verify_all
+
+        def with_nan_residual(s):
+            report = verify(s)
+            relations = tuple(
+                dataclasses.replace(r, residual=math.nan) if r.id == "eq10a" else r
+                for r in report.relations
+            )
+            return dataclasses.replace(report, relations=relations)
+
+        monkeypatch.setattr(hardy3, "verify_all", with_nan_residual)
+        assert math.isnan(nf_relation_residual(build_scenario(ScenarioParams(0.5, 0.5))))
 
 
 class TestPredictedFormulas:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -80,6 +82,75 @@ class TestStateVector:
     def test_norm(self):
         assert StateVector([3, 4]).norm() == pytest.approx(5.0)
         assert basis_vector(4, 2).is_normalized()
+
+    def test_norm_is_computed_once(self, monkeypatch):
+        v = StateVector([3, 4])
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(x) or norm(x))
+        assert (v.norm(), v.norm(), v.is_normalized()) == (5.0, 5.0, False)
+        assert len(calls) == 1
+
+    def test_constructor_copies_its_input(self):
+        a = np.array([1.0, 0.0], dtype=np.complex128)
+        v = StateVector(a)
+        a[0] = 2.0
+        assert v.components.tolist() == [1.0, 0.0]
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, clone):
+        v = StateVector([0.6, 0.8j])
+        v.norm()
+        w = clone(v)
+        assert w == v and w.norm() == v.norm()
+        assert not w.components.flags.writeable and w.components.base is None
+
+    @pytest.mark.parametrize("components", [[3.0, 4.0], [[3.0], [4.0]], 5.0])
+    def test_components_have_no_writable_base(self, components):
+        # A writable base would let a write reach the vector past its kept norm.
+        c = StateVector(components).components
+        assert c.base is None and c.ndim == 1
+        assert c.tolist() == np.ravel(components).astype(complex).tolist()
+
+
+def _made_vectors():
+    """A vector from each function that wraps an array it made itself."""
+    u, w = _normalized([1.0, 1.0j]), _normalized([1.0, 2.0, 3.0j])
+    e0 = basis_vector(3, 0)
+    return {
+        "basis_vector": basis_vector(4, 1),
+        "tensor": tensor(u, w),
+        "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])], 3),
+        "orthogonal_complements": orthogonal_complements([[e0, w], [w, basis_vector(3, 1)]], 3)[1],
+        "complete_context": complete_context([w], 3)[2],
+    }
+
+
+class TestOwnedArrays:
+    """Vectors that hilbert makes take over their fresh arrays without a copy."""
+
+    @pytest.mark.parametrize("name", list(_made_vectors()))
+    def test_made_vector_owns_read_only_data(self, name):
+        c = _made_vectors()[name].components
+        assert c.base is None and c.flags.owndata  # no other view of the data exists
+        assert c.dtype == np.complex128 and c.ndim == 1
+        with pytest.raises(ValueError):
+            c[0] = 2.0
+
+    def test_own_takes_the_array_itself_and_write_protects_it(self):
+        a = np.array([0.6, 0.8j])
+        v = StateVector._own(a)
+        assert v.components is a and not a.flags.writeable
+        assert v == StateVector([0.6, 0.8j])
+
+    def test_own_rejects_a_view(self):
+        a = np.zeros(4, dtype=np.complex128)
+        with pytest.raises(ValueError, match="owns its data"):
+            StateVector._own(a[:2])
+        assert a.flags.writeable
 
 
 class TestInner:

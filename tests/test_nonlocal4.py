@@ -12,6 +12,7 @@ from contextnet.nonlocal4 import (
     BASIS,
     PRODUCT_BASIS,
     LocalParams,
+    NonlocalScenario,
     build_nonlocal,
     aa_decomposition_residual,
     is_entangled,
@@ -155,6 +156,20 @@ class TestAaDecomposition:
             a2 = rng.uniform(0.01, 0.99)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             assert aa_decomposition_residual(build_nonlocal(LocalParams(a2, phase))) < 1e-10
+
+    def test_nan_factorization_is_not_hidden(self, monkeypatch):
+        overlaps = NonlocalScenario.overlaps
+
+        def with_nan_overlap(s):
+            o = overlaps(s)
+            o["a,a", "N_f"] = complex(math.nan, 0.0)
+            return o
+
+        monkeypatch.setattr(NonlocalScenario, "overlaps", with_nan_overlap)
+        s = build_nonlocal(LocalParams(0.37, 1.3))
+        row = verify_all(s).relation("eq18")
+        assert math.isnan(row.direct_value) and math.isnan(row.residual)
+        assert math.isnan(aa_decomposition_residual(s))
 
 
 class TestSchmidt:

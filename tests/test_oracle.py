@@ -13,16 +13,19 @@ from contextnet.errors import (
 )
 from contextnet.hardy3 import ScenarioParams, build_scenario
 from contextnet.hilbert import (
+    ORTH_TOL,
     StateVector,
     basis_vector,
     born_probability,
     complete_context,
+    inner,
 )
 from contextnet.nonlocal4 import LocalParams
 from contextnet.oracle import (
     MAX_SEED,
     MAX_TRIALS,
     MeasurementContext,
+    estimate,
     estimate_nonlocal_paradox,
     estimate_paradox,
     sample_context,
@@ -79,6 +82,37 @@ class TestMeasurementContext:
         near = StateVector([1.0 + 5e-11, 0.0, 0.0])
         assert len(complete_context([near], 3)) == 3
         assert MeasurementContext((near, basis_vector(3, 1), basis_vector(3, 2))).dim == 3
+
+    def test_projector_sum_gives_the_np_allclose_verdict(self):
+        # Rows (I + H/2) Q of random unitaries Q, with H Hermitian and its
+        # entries about ORTH_TOL: the rows pass or just miss the unit-norm and
+        # pairwise checks, and the projector sum Q^H (I + H) Q lands on both
+        # sides of the tolerance, in every dimension.
+        rng = np.random.default_rng(2026)
+        verdicts = {True: 0, False: 0}
+        for i in range(3000):
+            dim = 2 + i % 3
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            q, _ = np.linalg.qr(z)
+            h = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+            rows = (np.eye(dim) + (h + h.conj().T) * (ORTH_TOL / 4)) @ q
+            outcomes = tuple(StateVector(r) for r in rows)
+            pairs = [(u, v) for k, u in enumerate(outcomes) for v in outcomes[k + 1:]]
+            if not all(o.is_normalized() for o in outcomes) or any(
+                abs(inner(u, v)) >= ORTH_TOL for u, v in pairs
+            ):
+                continue  # rejected before the projector sum
+            m = np.array([o.components for o in outcomes])
+            expected = bool(np.allclose(m.conj().T @ m, np.eye(dim), atol=ORTH_TOL))
+            try:
+                MeasurementContext(outcomes)
+                accepted = True
+            except IncompleteContext as exc:
+                assert str(exc) == "projectors do not sum to the identity"
+                accepted = False
+            assert accepted == expected, rows
+            verdicts[accepted] += 1
+        assert verdicts[False] >= 250 and verdicts[True] >= 2000, verdicts
 
 
 class TestSampleContext:
@@ -173,6 +207,16 @@ class TestSampleContext:
         doc = sample_context(center.n_f, central_context, seed=3, trials=100)[0].to_json()
         assert set(doc) == {"estimate", "stderr", "trials", "seed", "rng"}
         assert doc["rng"] == "philox4x64"
+
+
+def test_estimate_computes_each_vector_norm_once(monkeypatch):
+    s = build_scenario(ScenarioParams(0.3, 0.6, 0.4, 1.9))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(x) or norm(x))
+    estimate(s, seed=3, trials=1000)
+    # N_f, f and the two outcomes that complete f's context; each check reads the kept norm
+    assert len(calls) == 4
 
 
 class TestEstimateParadox:

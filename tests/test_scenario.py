@@ -32,7 +32,7 @@ from contextnet.hilbert import (
 from contextnet.network import builtin_network
 from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
-from contextnet.report import Relation, RelationReport, report_to_json
+from contextnet.report import Relation, RelationReport, nan_max, report_to_json
 
 #: Each scenario with the figure whose nodes it realizes.
 FIGURES = [(HardyScenario, 2), (NonlocalScenario, 4)]
@@ -294,3 +294,17 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
             assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
         got = json.dumps(hex_floats(report_to_json(report(s))))
         assert got == json.dumps(hex_floats(report_to_json(expected))), p
+
+
+@pytest.mark.parametrize("residuals", [(1e-16, math.nan), (math.nan, 1e-16), (0.0, math.nan, 1.0)])
+def test_max_residual_does_not_hide_a_nan(residuals):
+    relations = tuple(Relation(f"r{i}", 0.0, 0.0, r) for i, r in enumerate(residuals))
+    assert math.isnan(RelationReport({}, relations).max_residual())
+
+
+@pytest.mark.parametrize("values", [
+    (1e-16, 3e-16, 2e-16), (0.0, -0.0), (-0.0, 0.0), (1.0, math.inf), (5e-324,),
+])
+def test_nan_max_without_a_nan_is_the_builtin_max(values):
+    assert float.hex(nan_max(values)) == float.hex(max(values))
+    assert float.hex(nan_max(iter(values))) == float.hex(max(values))
