@@ -40,8 +40,7 @@ class StateVector:
 
     Represents either a measurement outcome or a prepared state. The
     component array is copied on construction and write-protected, so the
-    norm is computed once, on first use, and kept. Vectors this module makes
-    take over their fresh arrays through ``_own`` instead of copying them.
+    norm is computed once, on first use, and kept.
     """
 
     __slots__ = ("_components", "_norm")
@@ -55,24 +54,6 @@ class StateVector:
         v.setflags(write=False)
         self._components = v
         self._norm = None
-
-    @classmethod
-    def _own(cls, v: np.ndarray) -> "StateVector":
-        """The vector of a complex128 array that this module just made, not copied.
-
-        ``v`` must be a non-empty one-dimensional complex128 array that the
-        caller made and holds alone. It must own its data (``v.base is
-        None``), so no writable view of it exists; it is write-protected
-        here. Arrays from outside this module go through the constructor,
-        which copies them.
-        """
-        if v.base is not None:
-            raise ValueError("a state vector takes over only an array that owns its data")
-        v.setflags(write=False)
-        self = cls.__new__(cls)
-        self._components = v
-        self._norm = None
-        return self
 
     def __reduce__(self):
         # pickle, copy and deepcopy rebuild through the constructor, which
@@ -118,7 +99,7 @@ def basis_vector(dim: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
-    return StateVector._own(v)
+    return StateVector(v)
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -211,9 +192,8 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
 
     Computed as a broadcast outer product: the same element-wise complex
     multiply as ``np.kron``, so the same bits, without its per-call overhead.
-    ``flatten`` copies the product into an array of its own.
     """
-    return StateVector._own((u._components[:, None] * v._components).flatten())
+    return StateVector((u._components[:, None] * v._components).reshape(-1))
 
 
 def canonical_phase(components: np.ndarray) -> np.ndarray:
@@ -279,7 +259,7 @@ def orthogonal_complements(
             raise DegenerateSpan(
                 f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
             )
-    return [StateVector._own(canonical_phase(rows[-1])) for rows in vh]
+    return [StateVector(canonical_phase(rows[-1])) for rows in vh]
 
 
 def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
@@ -317,4 +297,4 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVect
             raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
         if any(not abs(inner(u, v)) < ORTH_TOL for u in vecs[:i]):
             raise DegenerateSpan("inputs are not mutually orthogonal")
-    return vecs + [StateVector._own(canonical_phase(row)) for row in vh[rank:]]
+    return vecs + [StateVector(canonical_phase(row)) for row in vh[rank:]]

@@ -117,7 +117,7 @@ class TestStateVector:
 
 
 def _made_vectors():
-    """A vector from each function that wraps an array it made itself."""
+    """A vector from each function that builds one from an array it made."""
     u, w = _normalized([1.0, 1.0j]), _normalized([1.0, 2.0, 3.0j])
     e0 = basis_vector(3, 0)
     return {
@@ -130,7 +130,7 @@ def _made_vectors():
 
 
 class TestOwnedArrays:
-    """Vectors that hilbert makes take over their fresh arrays without a copy."""
+    """Vectors that hilbert makes hold read-only data that no other array views."""
 
     @pytest.mark.parametrize("name", list(_made_vectors()))
     def test_made_vector_owns_read_only_data(self, name):
@@ -139,18 +139,6 @@ class TestOwnedArrays:
         assert c.dtype == np.complex128 and c.ndim == 1
         with pytest.raises(ValueError):
             c[0] = 2.0
-
-    def test_own_takes_the_array_itself_and_write_protects_it(self):
-        a = np.array([0.6, 0.8j])
-        v = StateVector._own(a)
-        assert v.components is a and not a.flags.writeable
-        assert v == StateVector([0.6, 0.8j])
-
-    def test_own_rejects_a_view(self):
-        a = np.zeros(4, dtype=np.complex128)
-        with pytest.raises(ValueError, match="owns its data"):
-            StateVector._own(a[:2])
-        assert a.flags.writeable
 
 
 class TestInner:
