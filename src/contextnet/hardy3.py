@@ -135,9 +135,7 @@ def predicted_nf3(alpha: float, beta: float) -> float:
     central context. The denominator is formed as (1-a) + a(1-b), which
     does not cancel as a and b approach 1.
     """
-    a = require_interior(alpha, "alpha")
-    b = require_interior(beta, "beta")
-    return (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
+    return _nf3(require_interior(alpha, "alpha"), require_interior(beta, "beta"))
 
 
 def predicted_f3(alpha: float, beta: float) -> float:
@@ -145,9 +143,7 @@ def predicted_f3(alpha: float, beta: float) -> float:
 
     The denominator is formed as a + b(1-a), free of cancellation.
     """
-    a = require_interior(alpha, "alpha")
-    b = require_interior(beta, "beta")
-    return a * b / (a + b * (1.0 - a))
+    return _f3(require_interior(alpha, "alpha"), require_interior(beta, "beta"))
 
 
 def predicted_paradox(alpha: float, beta: float) -> float:
@@ -160,13 +156,22 @@ def predicted_paradox(alpha: float, beta: float) -> float:
     return _paradox(require_interior(alpha, "alpha"), require_interior(beta, "beta"))
 
 
-def _paradox(a, b):
-    """``predicted_paradox`` without the domain checks.
+# The closed forms without the domain checks: ``verify_all`` reads parameters
+# that ``ScenarioParams`` checked when it was built. Each takes floats or
+# float64 arrays (the sweep passes one alpha and a whole beta axis).
+# Element-wise float64 ``+ - * /`` round exactly as Python floats do, so an
+# array element is bit-identical to the scalar value.
 
-    Takes floats or float64 arrays (the sweep passes one alpha and a whole
-    beta axis). Element-wise float64 ``+ - * /`` round exactly as Python
-    floats do, so an array element is bit-identical to the scalar value.
-    """
+
+def _nf3(a, b):
+    return (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
+
+
+def _f3(a, b):
+    return a * b / (a + b * (1.0 - a))
+
+
+def _paradox(a, b):
     return (a * b / ((1.0 - a) + a * (1.0 - b))) * (
         (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
     )
@@ -181,7 +186,7 @@ def verify_all(s: HardyScenario) -> RelationReport:
     is deterministic for fixed parameters.
     """
     a, b = s.params.alpha, s.params.beta
-    nf3 = predicted_nf3(a, b)
+    nf3 = _nf3(a, b)
     o = s.overlaps()
     f_expansion = s.f.components - (
         s.d1.components * o["D1", "f"]
@@ -200,8 +205,8 @@ def verify_all(s: HardyScenario) -> RelationReport:
         ("eq13a", o["f", "D1"] * o["D1", "3"], o["f", "3"]),
         ("eq13b", o["f", "D2"] * o["D2", "3"], o["f", "3"]),
         ("eq14", 1.0, abs(o["f", "D1"]) ** 2 + abs(o["f", "D2"]) ** 2 - abs(o["f", "3"]) ** 2),
-        ("eq15", predicted_f3(a, b), abs(o["f", "3"]) ** 2),
-        ("eq16", predicted_paradox(a, b), abs(o["f", "N_f"]) ** 2),
+        ("eq15", _f3(a, b), abs(o["f", "3"]) ** 2),
+        ("eq16", _paradox(a, b), abs(o["f", "N_f"]) ** 2),
     )
 
 

@@ -39,25 +39,24 @@ class StateVector:
     """Immutable complex vector of fixed finite dimension.
 
     Represents either a measurement outcome or a prepared state. The
-    component array is copied on construction and write-protected, so the
-    norm is computed once, on first use, and kept.
+    components are copied on construction, flattened, into an immutable
+    ``bytes`` buffer: the array over it is read-only, and numpy refuses to
+    make it writable again, so the norm is computed once, on first use, and
+    kept.
     """
 
     __slots__ = ("_components", "_norm")
 
     def __init__(self, components) -> None:
-        v = np.array(components, dtype=np.complex128)
-        if v.ndim != 1:
-            v = v.flatten()  # a copy of its own: a reshaped view would alias a writable base
+        v = np.frombuffer(np.asarray(components, np.complex128).tobytes(), np.complex128)
         if v.size == 0:
             raise ValueError("a state vector needs at least one component")
-        v.setflags(write=False)
         self._components = v
         self._norm = None
 
     def __reduce__(self):
         # pickle, copy and deepcopy rebuild through the constructor, which
-        # copies and write-protects; the default would restore a writable array
+        # copies into a fresh immutable buffer
         return type(self), (self._components,)
 
     @property
@@ -220,22 +219,37 @@ def _null_spaces(
     of its complement. numpy runs LAPACK on each matrix of the stack in turn,
     so every group gets the bits it would get alone.
 
+    The dimensions are checked once, on the stacked array's last axis; the
+    inputs are walked one by one only to name a wrong one. A rank is counted
+    from the Python floats of ``sv``: ``x * x`` is the IEEE product that
+    ``sv * sv`` takes.
+
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
         DegenerateSpan: if some input is not finite.
         ValueError: if the groups differ in size.
     """
-    for group in groups:
-        for v in group:
-            if v.dim != dim:
-                raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}")
-    m = np.array([[v._components for v in group] for group in groups], dtype=np.complex128)
+    try:
+        m = np.array([[v._components for v in group] for group in groups], dtype=np.complex128)
+    except ValueError:  # the inputs differ in dimension, or the groups in size
+        _require_dim(groups, dim)
+        raise
+    if m.shape[-1] != dim:  # also when there is no input, and then nothing is wrong
+        _require_dim(groups, dim)
     size = len(groups[0]) if groups else 0
     try:
         _, sv, vh = np.linalg.svd(m.reshape(len(groups), size, dim))
     except np.linalg.LinAlgError as exc:  # raised for NaN or infinite inputs
         raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    return (sv * sv > ORTH_TOL).sum(axis=-1).tolist(), vh
+    return [sum(x * x > ORTH_TOL for x in row) for row in sv.tolist()], vh
+
+
+def _require_dim(groups: Sequence[Sequence[StateVector]], dim: int) -> None:
+    """Raise ``DimensionMismatch`` for the first input not of dimension ``dim``."""
+    for group in groups:
+        for v in group:
+            if v.dim != dim:
+                raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}") from None
 
 
 def orthogonal_complements(

@@ -25,19 +25,38 @@ def nan_max(values: Iterable[float]) -> float:
     return max(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """One verified identity: closed-form value vs directly computed value.
 
     For vector identities the closed form predicts an exact reconstruction,
     so ``formula_value`` is 0.0 and ``direct_value`` is the measured error
     norm. Either way ``residual == abs(formula_value - direct_value)``.
+
+    The constructor writes each field's slot through the slot's own
+    descriptor: the generated one calls ``object.__setattr__`` per field,
+    which takes about twice as long. Equality, hashing, ``repr``, pickling
+    and ``dataclasses.replace`` are the dataclass's.
     """
 
     id: str
     formula_value: Scalar
     direct_value: Scalar
     residual: float
+
+    def __init__(
+        self, id: str, formula_value: Scalar, direct_value: Scalar, residual: float
+    ) -> None:
+        _set_id(self, id)
+        _set_formula_value(self, formula_value)
+        _set_direct_value(self, direct_value)
+        _set_residual(self, residual)
+
+
+_set_id, _set_formula_value, _set_direct_value, _set_residual = (
+    Relation.__dict__[name].__set__
+    for name in ("id", "formula_value", "direct_value", "residual")
+)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ table and its relations as rows over labelled overlaps.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
@@ -16,6 +17,16 @@ from typing import ClassVar, Mapping
 from .errors import OutOfDomain, require_interior
 from .hilbert import InnerPairs, StateVector, orthogonal_complements
 from .report import Relation, RelationReport, Scalar
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The field names of a ``Params`` class, and those of its probabilities.
+
+    Worked out on a class's first use, once, instead of at every call.
+    """
+    names = tuple(f.name for f in fields(cls))
+    return names, tuple(f.name for f in fields(cls) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -28,15 +39,16 @@ class Params:
     """
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.default is MISSING:
-                require_interior(value, f.name)
+        names, probabilities = _field_names(type(self))
+        for name in names:
+            value = getattr(self, name)
+            if name in probabilities:
+                require_interior(value, name)
             elif not math.isfinite(value):
-                raise OutOfDomain(f"{f.name}={value!r} must be a finite phase")
+                raise OutOfDomain(f"{name}={value!r} must be a finite phase")
 
     def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _field_names(type(self))[0]}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Params":
@@ -49,11 +61,10 @@ class Params:
         """
         if not isinstance(doc, Mapping):
             raise ValueError(f"parameters must be a JSON object, got {type(doc).__name__}")
-        names = [f.name for f in fields(cls)]
+        names, required = _field_names(cls)
         unknown = set(doc) - set(names)
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        required = [f.name for f in fields(cls) if f.default is MISSING]
         if any(name not in doc for name in required):
             raise ValueError(f"parameters require {', '.join(map(repr, required))}")
         values = {name: doc[name] for name in names if name in doc}
@@ -150,8 +161,8 @@ class Scenario:
         """The report of ``(id, formula value, direct value)`` rows, in order."""
         return RelationReport(
             params=self.params.to_dict(),
-            relations=tuple(
-                Relation(rel_id, formula, direct, residual=abs(formula - direct))
+            relations=tuple([
+                Relation(rel_id, formula, direct, abs(formula - direct))
                 for rel_id, formula, direct in rows
-            ),
+            ]),
         )

@@ -33,6 +33,7 @@ from contextnet.nonlocal4 import (
     schmidt_coefficients,
 )
 from contextnet.oracle import estimate_nonlocal_paradox, estimate_paradox
+from contextnet.report import nan_max
 
 ONE_NINTH = 1 / 9
 ONE_TWELFTH = 1 / 12
@@ -58,12 +59,12 @@ def _random_ensembles():
         alpha, beta = rng.uniform(0.01, 0.99, size=2)
         ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         s = build_scenario(ScenarioParams(alpha, beta, ph1, ph2))
-        worst_magnitude = max(
+        worst_magnitude = nan_max((
             worst_magnitude,
             abs(predicted_nf3(alpha, beta) - abs(inner(s.k3, s.n_f)) ** 2),
             abs(predicted_f3(alpha, beta) - abs(inner(s.f, s.k3)) ** 2),
             abs(predicted_paradox(alpha, beta) - abs(inner(s.f, s.n_f)) ** 2),
-        )
+        ))
         via_d1 = inner(s.f, s.d1) * inner(s.d1, s.k3)
         via_d2 = inner(s.f, s.d2) * inner(s.d2, s.k3)
         direct_f3 = inner(s.f, s.k3)
@@ -72,7 +73,7 @@ def _random_ensembles():
             + abs(inner(s.f, s.d2)) ** 2
             - abs(inner(s.f, s.k3)) ** 2
         )
-        worst_identity = max(
+        worst_identity = nan_max((
             worst_identity,
             chain_rule_residual(s),
             f_expansion_residual(s),
@@ -80,19 +81,19 @@ def _random_ensembles():
             abs(via_d1 - direct_f3),
             abs(via_d2 - direct_f3),
             abs(normalization - 1.0),
-        )
+        ))
 
     for _ in range(1000):
         a2 = rng.uniform(0.01, 0.99)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         s = build_nonlocal(LocalParams(a2, phase))
-        worst_magnitude = max(
+        worst_magnitude = nan_max((
             worst_magnitude,
             abs(predicted_fnl_nf(a2) - abs(inner(s.f_nl, s.n_f)) ** 2),
             abs(predicted_faa(a2) - abs(inner(s.f_nl, s.kaa)) ** 2),
             abs(predicted_aa_nf(a2) - abs(inner(s.kaa, s.n_f)) ** 2),
-        )
-        worst_identity = max(worst_identity, aa_decomposition_residual(s))
+        ))
+        worst_identity = nan_max((worst_identity, aa_decomposition_residual(s)))
 
     elapsed = time.perf_counter() - t0
     return worst_magnitude, worst_identity, elapsed
@@ -169,7 +170,7 @@ def test_criterion_4_complex_identity_residuals():
 
 def test_criterion_5_reduction_identity():
     rng = np.random.default_rng(515)
-    worst = max(
+    worst = nan_max(
         abs(predicted_fnl_nf(a2) - predicted_paradox(a2, a2))
         for a2 in rng.uniform(0.01, 0.99, size=100)
     )
@@ -236,7 +237,7 @@ def test_criterion_7_statistical_check():
 def test_criterion_8_equal_superposition():
     s = build_scenario(ScenarioParams(0.5, 0.5))
     weights = [abs(inner(k, s.n_f)) ** 2 for k in (s.k1, s.k2, s.k3)]
-    worst = max(abs(w - 1 / 3) for w in weights)
+    worst = nan_max(abs(w - 1 / 3) for w in weights)
     ok = worst < 1e-12
     _report(
         "8 equal-superposition",

@@ -106,14 +106,21 @@ class TestStateVector:
         v.norm()
         w = clone(v)
         assert w == v and w.norm() == v.norm()
-        assert not w.components.flags.writeable and w.components.base is None
+        assert not w.components.flags.writeable and isinstance(w.components.base, bytes)
 
     @pytest.mark.parametrize("components", [[3.0, 4.0], [[3.0], [4.0]], 5.0])
     def test_components_have_no_writable_base(self, components):
         # A writable base would let a write reach the vector past its kept norm.
         c = StateVector(components).components
-        assert c.base is None and c.ndim == 1
+        assert isinstance(c.base, bytes) and c.ndim == 1
         assert c.tolist() == np.ravel(components).astype(complex).tolist()
+
+    def test_components_cannot_be_made_writable(self):
+        v = StateVector([3.0, 4.0])
+        assert v.norm() == 5.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            v.components.setflags(write=True)
+        assert v.components.tolist() == [3.0, 4.0] and v.norm() == 5.0
 
 
 def _made_vectors():
@@ -130,12 +137,12 @@ def _made_vectors():
 
 
 class TestOwnedArrays:
-    """Vectors that hilbert makes hold read-only data that no other array views."""
+    """Vectors that hilbert makes hold their data in an immutable buffer."""
 
     @pytest.mark.parametrize("name", list(_made_vectors()))
     def test_made_vector_owns_read_only_data(self, name):
         c = _made_vectors()[name].components
-        assert c.base is None and c.flags.owndata  # no other view of the data exists
+        assert isinstance(c.base, bytes)  # immutable: no writable view of the data exists
         assert c.dtype == np.complex128 and c.ndim == 1
         with pytest.raises(ValueError):
             c[0] = 2.0
@@ -407,6 +414,18 @@ class TestStackedBits:
         with pytest.raises(DimensionMismatch) as stacked:
             orthogonal_complements(groups, 3)
         assert str(stacked.value) == str(alone.value)
+
+    def test_stack_errors_name_the_input_or_the_sizes(self):
+        e = basis_vector
+        # inputs all of one wrong dimension stack; the stack's last axis shows it
+        with pytest.raises(DimensionMismatch, match="^input of dimension 2, expected 3$"):
+            orthogonal_complements([[e(2, 0), e(2, 1)], [e(2, 0), e(2, 1)]], 3)
+        # groups of two sizes do not stack: a wrong dimension is still named
+        with pytest.raises(DimensionMismatch, match="^input of dimension 2, expected 3$"):
+            orthogonal_complements([[e(3, 0), e(3, 1)], [e(2, 1)]], 3)
+        # and with none, numpy's error stands
+        with pytest.raises(ValueError):
+            orthogonal_complements([[e(3, 0), e(3, 1)], [e(3, 2)]], 3)
 
     def test_empty_stack(self):
         assert orthogonal_complements([], 3) == []

@@ -83,13 +83,15 @@ class TestMeasurementContext:
         assert len(complete_context([near], 3)) == 3
         assert MeasurementContext((near, basis_vector(3, 1), basis_vector(3, 2))).dim == 3
 
-    def test_projector_sum_gives_the_np_allclose_verdict(self):
+    def test_accepts_every_context_that_passes_the_norm_and_pairwise_checks(self):
         # Rows (I + H/2) Q of random unitaries Q, with H Hermitian and its
-        # entries about ORTH_TOL: the rows pass or just miss the unit-norm and
-        # pairwise checks, and the projector sum Q^H (I + H) Q lands on both
-        # sides of the tolerance, in every dimension.
+        # entries about ORTH_TOL: the rows pass or just miss the pairwise
+        # check. With Gram matrix I + E, the projector sum P has the spectrum
+        # of I + E, so |P - I| <= dim * max|E_ij| in every entry: the two
+        # checks bound it, and a context passing them is accepted even where
+        # P misses the identity by more than ORTH_TOL (np.allclose rejects).
         rng = np.random.default_rng(2026)
-        verdicts = {True: 0, False: 0}
+        counts = {"accepted": 0, "beyond_allclose": 0, "rejected": 0}
         for i in range(3000):
             dim = 2 + i % 3
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -98,21 +100,25 @@ class TestMeasurementContext:
             rows = (np.eye(dim) + (h + h.conj().T) * (ORTH_TOL / 4)) @ q
             outcomes = tuple(StateVector(r) for r in rows)
             pairs = [(u, v) for k, u in enumerate(outcomes) for v in outcomes[k + 1:]]
-            if not all(o.is_normalized() for o in outcomes) or any(
-                abs(inner(u, v)) >= ORTH_TOL for u, v in pairs
-            ):
-                continue  # rejected before the projector sum
+            if not all(o.is_normalized() for o in outcomes):
+                with pytest.raises(IncompleteContext, match="unit vectors"):
+                    MeasurementContext(outcomes)
+                continue
+            if any(abs(inner(u, v)) >= ORTH_TOL for u, v in pairs):
+                with pytest.raises(IncompleteContext, match="mutually orthogonal"):
+                    MeasurementContext(outcomes)
+                counts["rejected"] += 1
+                continue
+            assert MeasurementContext(outcomes).outcomes == outcomes
             m = np.array([o.components for o in outcomes])
-            expected = bool(np.allclose(m.conj().T @ m, np.eye(dim), atol=ORTH_TOL))
-            try:
-                MeasurementContext(outcomes)
-                accepted = True
-            except IncompleteContext as exc:
-                assert str(exc) == "projectors do not sum to the identity"
-                accepted = False
-            assert accepted == expected, rows
-            verdicts[accepted] += 1
-        assert verdicts[False] >= 250 and verdicts[True] >= 2000, verdicts
+            gram, projectors = m @ m.conj().T, m.conj().T @ m
+            bound = dim * np.abs(gram - np.eye(dim)).max()
+            assert np.abs(projectors - np.eye(dim)).max() <= bound
+            counts["accepted"] += 1
+            counts["beyond_allclose"] += not np.allclose(projectors, np.eye(dim), atol=ORTH_TOL)
+        # 2768, 283 and 232 with numpy 2.4's LAPACK
+        assert counts["accepted"] >= 2500 and counts["rejected"] >= 200, counts
+        assert counts["beyond_allclose"] >= 250, counts
 
 
 class TestSampleContext:

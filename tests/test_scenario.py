@@ -92,6 +92,19 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
         assert isinstance(copied.vectors, types.MappingProxyType)
 
 
+def test_relations_are_frozen_records_that_copy_and_pickle():
+    report = verify_hardy(build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1)))
+    r = report.relation("eq9")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.residual = 0.0
+    twin = Relation(r.id, r.formula_value, r.direct_value, residual=r.residual)
+    assert twin == r and hash(twin) == hash(r)
+    changed = dataclasses.replace(r, residual=1.0)
+    assert changed == Relation("eq9", r.formula_value, r.direct_value, 1.0)
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert copied == report and hash(copied.relations) == hash(report.relations)
+
+
 def test_overlaps_are_inner_products_computed_once():
     s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
     o = s.overlaps()
