@@ -120,7 +120,8 @@ def cmd_sweep(
     value, all before the file is opened, so bad input leaves an existing
     file as it was. The grid values are checked in the order a cell-by-cell
     loop would meet them (the first alpha, every beta, the other alphas),
-    which fixes the ``error:`` text.
+    which fixes the ``error:`` text. A grid whose axes or row template do
+    not fit in memory is bad input too.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points per axis")
@@ -128,29 +129,39 @@ def cmd_sweep(
         # A range of infinite width would make np.linspace warn before the checks below.
         if not (lo <= hi and math.isfinite(hi - lo)):
             raise ValueError(f"{name} range [{lo}, {hi}] needs lo <= hi and a finite width")
-    alphas = np.linspace(alpha_range[0], alpha_range[1], grid).tolist()
-    betas = np.linspace(beta_range[0], beta_range[1], grid)
+    too_large = f"grid {grid} is too large: its axes and row template do not fit in memory"
+    # An axis of this many float64s exceeds any address space, and numpy
+    # fails on it with errors that do not name the grid (IndexError at 2**63).
+    if grid > sys.maxsize // 8:
+        raise ValueError(too_large)
+    try:
+        alphas = np.linspace(alpha_range[0], alpha_range[1], grid).tolist()
+        betas = np.linspace(beta_range[0], beta_range[1], grid)
+        # One line per beta, each beta formatted once: "%s,<beta>,%.17g\r\n".
+        # bytes %-formatting spells a float as f"{x:.17g}" does (both call
+        # PyOS_double_to_string), so each row is one C-level formatting pass.
+        template = b"".join([b"%%s,%.17g,%%.17g\r\n" % b for b in betas.tolist()])
+    except MemoryError:
+        raise ValueError(too_large) from None
     require_interior(alphas[0], "alpha")
     for b in betas:
         require_interior(b, "beta")
     for a in alphas[1:]:
         require_interior(a, "alpha")
-    beta_texts = [f"{b:.17g}" for b in betas.tolist()]
     # (p, alpha, beta). Rows run in lexicographic (alpha, beta) order and
     # argmax returns the first maximum of a row, so a strict > keeps the
     # first maximum of the grid, which is the lexicographically smallest.
     best = (-1.0, 1.0, 1.0)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with open(out, "wb") as fh:
         # The csv module's excel dialect would write the same bytes: it never
         # quotes these fields, and it ends each row with \r\n.
-        fh.write("alpha,beta,p_paradox\r\n")
+        fh.write(b"alpha,beta,p_paradox\r\n")
         for a in alphas:
             row = hardy3._paradox(a, betas)
-            alpha_text = f"{a:.17g}"
-            fh.write("".join([
-                f"{alpha_text},{b},{p:.17g}\r\n" for b, p in zip(beta_texts, row.tolist())
-            ]))
-            j = int(np.argmax(row))
+            args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
+            args[1::2] = row.tolist()
+            fh.write(template % tuple(args))
+            j = row.argmax()
             if row[j] > best[0]:
                 best = (float(row[j]), a, float(betas[j]))
     print(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import contextnet
@@ -255,21 +255,9 @@ class TestSweep:
         assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{lo},{hi}",
                      "--beta-range", f"{lo},{hi}", "--out", str(out)]) == 0
         values = np.linspace(lo, hi, grid)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["alpha", "beta", "p_paradox"])
-        best = None
-        for a in values:
-            for b in values:
-                p = hardy3.predicted_paradox(float(a), float(b))
-                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{p:.17g}"])
-                if best is None or p > best[0]:  # the first maximum wins every tie
-                    best = (p, a, b)
-        assert out.read_bytes() == expected.getvalue().encode("utf-8")
-        assert capsys.readouterr().out == (
-            f"sweep {grid}x{grid}: max p_paradox={best[0]:.17g} "
-            f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}\n"
-        )
+        csv_bytes, summary = scalar_sweep(values, values, out)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
 
     @seed(20231018)
     @settings(max_examples=60, deadline=None,
@@ -290,6 +278,53 @@ class TestSweep:
             np.linspace(alo, ahi, grid), np.linspace(blo, bhi, grid), out)
         assert out.read_bytes() == csv_bytes
         assert capsys.readouterr().out == summary
+
+    @seed(20231018)
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.floats())
+    @example(x=math.nan)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-2.2250738585072009e-308)
+    @example(x=1.7976931348623157e308)
+    def test_bytes_formatting_spells_floats_as_the_str_format(self, x):
+        # The sweep formats through a bytes template; its CSV is defined by f"{x:.17g}".
+        assert b"%.17g" % x == f"{x:.17g}".encode()
+
+    def test_e_notation_values_match_scalar_reference(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "5", "--alpha-range", "1e-9,2e-9",
+                     "--beta-range", "1e-9,2e-9", "--out", str(out)]) == 0
+        values = np.linspace(1e-9, 2e-9, 5)
+        csv_bytes, summary = scalar_sweep(values, values, out)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
+        # every field of every data row, p included, prints in e-notation
+        assert all(field.count(b"e-") == 1
+                   for line in csv_bytes.splitlines()[1:] for field in line.split(b","))
+
+    def test_longer_existing_file_is_replaced_by_exactly_the_new_bytes(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous run\r\n" * 10_000)
+        assert main(["sweep", "--grid", "3", "--out", str(out)]) == 0
+        values = np.linspace(0.01, 0.99, 3)
+        assert out.read_bytes() == scalar_sweep(values, values, out)[0]
+
+    @pytest.mark.parametrize("grid", [10**16, 2**63, 10**30])
+    def test_grid_too_large_for_memory_exits_2_and_keeps_the_file(self, tmp_path, capsys, grid):
+        # 10**16 float64 values are 8e16 bytes, beyond the address space, so
+        # numpy fails at once and allocates nothing; the larger grids are
+        # rejected before numpy sees them.
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous run\r\n")
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid {grid} is too large: its axes and row template do not fit in memory\n"
+        )
+        assert out.read_bytes() == b"previous run\r\n"
 
     @pytest.mark.parametrize("alpha_range,beta_range,prefix", [
         ("0.1,0.5", "1e-12,0.5", "error: beta=1e-12"),
