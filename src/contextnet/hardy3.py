@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import require_interior
 from .hilbert import StateVector, basis_vector
-from .report import RelationReport, nan_max
+from .report import RelationReport
 from .scenario import Params, Scenario
 
 #: The central context |1>, |2>, |3>, shared by every built scenario (read-only).
@@ -101,31 +101,6 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
         [math.sqrt(1.0 - b), 0.0, cmath.exp(1j * params.phase_d2) * math.sqrt(b)]
     )
     return HardyScenario.build(params, {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2})
-
-
-def chain_rule_residual(s: HardyScenario) -> float:
-    """|<D1|D2> - <D1|3><3|D2>|: the overlap factorizes through |3> (row eq3)."""
-    return verify_all(s).relation("eq3").residual
-
-
-def f_expansion_residual(s: HardyScenario) -> float:
-    """Norm of f minus its expansion over D1, D2 and |3> (row eq6).
-
-    The expansion f = D1 <D1|f> + D2 <D2|f> - |3> <3|f> mixes outcomes from
-    three different contexts; the minus sign on the |3> term is what breaks
-    the either/or reading of the two two-term expansions of f.
-    """
-    return verify_all(s).relation("eq6").direct_value
-
-
-def nf_relation_residual(s: HardyScenario) -> float:
-    """Largest violation of the three complex relations tying N_f to |3>.
-
-    Reads rows eq9, <f|N_f> = -<f|3><3|N_f>, and eq10a/eq10b,
-    <D2|1><1|N_f> = -<D2|3><3|N_f> and <D1|2><2|N_f> = -<D1|3><3|N_f>.
-    """
-    report = verify_all(s)
-    return nan_max(report.relation(rel_id).residual for rel_id in ("eq9", "eq10a", "eq10b"))
 
 
 def predicted_nf3(alpha: float, beta: float) -> float:

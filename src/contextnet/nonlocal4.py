@@ -39,9 +39,6 @@ from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
-#: Second Schmidt coefficient above this marks a state as entangled.
-ENTANGLEMENT_TOL = 1e-10
-
 #: The local kets |0>, |1> and their products |00>, |01>, |10>, |11>, in
 #: product-basis order, shared by every built scenario (read-only).
 BASIS = (basis_vector(2, 0), basis_vector(2, 1))
@@ -156,21 +153,11 @@ def _aa_nf(x):
     return x * x * (1.0 - x) / (1.0 + x)
 
 
-def aa_decomposition_residual(s: NonlocalScenario) -> float:
-    """Largest violation of the two identities that route a,a through f_NL (row eq18).
-
-    Checks the two-term expansion a,a = f_NL <f_NL|a,a> + 1,1 <1,1|a,a>
-    (a product state written as an entangled state plus a product state)
-    and the factorization <a,a|N_f> = <a,a|f_NL><f_NL|N_f>.
-    """
-    return verify_all(s).relation("eq18").direct_value
-
-
 def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
     """Singular values (descending) of a dimension-4 vector as a 2x2 array.
 
     The vector is read in the fixed product ordering (00, 01, 10, 11). A
-    second value above ``ENTANGLEMENT_TOL`` means the state is entangled.
+    second value above round-off means the state is entangled.
 
     Raises:
         DimensionMismatch: if the vector is not of dimension 4.
@@ -179,10 +166,6 @@ def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
         raise DimensionMismatch(f"need a dimension-4 vector, got {v.dim}")
     sv = np.linalg.svd(v.components.reshape(2, 2), compute_uv=False)
     return float(sv[0]), float(sv[1])
-
-
-def is_entangled(v: StateVector) -> bool:
-    return schmidt_coefficients(v)[1] > ENTANGLEMENT_TOL
 
 
 def verify_all(s: NonlocalScenario) -> RelationReport:

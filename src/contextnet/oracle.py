@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrials, IncompleteContext
-from .hardy3 import ScenarioParams, build_scenario
 from .hilbert import ORTH_TOL, StateVector, born_probability, complete_context, inner
-from .nonlocal4 import LocalParams, build_nonlocal
 from .scenario import Scenario
 
 RNG_NAME = "philox4x64"
@@ -134,7 +132,7 @@ def sample_context(
 
 
 def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
-    """Sampled frequency of the scenario's ``SAMPLED`` outcome.
+    """Sampled frequency of the ``SAMPLED`` outcome of any built scenario.
 
     Prepares the first vector of ``SAMPLED``, completes the second to a full
     context and returns the estimate for that outcome.
@@ -144,22 +142,3 @@ def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
     ctx = MeasurementContext(tuple(complete_context([outcome], outcome.dim)))
     return sample_context(prep, ctx, seed, trials)[0]
 
-
-def estimate_paradox(params: ScenarioParams, seed: int, trials: int) -> SampleEstimate:
-    """Sampled frequency of the paradoxical outcome f when preparing N_f.
-
-    Builds the dimension-3 scenario and samples it through ``estimate``.
-    Its expectation is the closed-form predicted_paradox(alpha, beta).
-    """
-    return estimate(build_scenario(params), seed, trials)
-
-
-def estimate_nonlocal_paradox(
-    params: LocalParams, seed: int, trials: int
-) -> SampleEstimate:
-    """Sampled frequency of the product outcome a,a when preparing N_f.
-
-    The two-qubit analogue of ``estimate_paradox``; its expectation is
-    predicted_aa_nf(a2), i.e. 1/12 at a2 = 1/2.
-    """
-    return estimate(build_nonlocal(params), seed, trials)

@@ -36,10 +36,25 @@ class Params:
     A field without a default is a probability, checked by
     ``require_interior``; a field with a default is a phase, which must be
     finite. Either failure raises ``OutOfDomain`` on construction.
+
+    Every value must be a real number (a bool or a string is not one) and
+    is stored as a Python float; otherwise construction raises
+    ``ValueError``, naming the field. All fields pass the type check before
+    any is checked against its domain.
     """
 
     def __post_init__(self) -> None:
         names, probabilities = _field_names(type(self))
+        for name in names:
+            value = getattr(self, name)
+            if type(value) is float:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}={value!r} must be a number")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is an integer too large for a float") from None
         for name in names:
             value = getattr(self, name)
             if name in probabilities:
@@ -55,9 +70,8 @@ class Params:
         """Parameters from a JSON object whose values are numbers.
 
         Raises:
-            ValueError: if ``doc`` is not a mapping, has unknown or missing
-                keys, or has a value that is not a real number (a bool or a
-                string is not one), naming the key.
+            ValueError: if ``doc`` is not a mapping or has unknown or missing
+                keys, or, from the constructor, if a value is not a real number.
         """
         if not isinstance(doc, Mapping):
             raise ValueError(f"parameters must be a JSON object, got {type(doc).__name__}")
@@ -67,15 +81,7 @@ class Params:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         if any(name not in doc for name in required):
             raise ValueError(f"parameters require {', '.join(map(repr, required))}")
-        values = {name: doc[name] for name in names if name in doc}
-        for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}={value!r} must be a number")
-            try:
-                values[name] = float(value)
-            except OverflowError:
-                raise ValueError(f"{name} is an integer too large for a float") from None
-        return cls(**values)
+        return cls(**{name: doc[name] for name in names if name in doc})
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from contextnet import hardy3, nonlocal4
 from contextnet.cli import main
 from contextnet.hardy3 import (
     ScenarioParams,
     build_scenario,
-    chain_rule_residual,
-    f_expansion_residual,
-    nf_relation_residual,
     predicted_f3,
     predicted_nf3,
     predicted_paradox,
@@ -25,14 +23,13 @@ from contextnet.hilbert import inner
 from contextnet.network import builtin_network, validate_realization
 from contextnet.nonlocal4 import (
     LocalParams,
-    aa_decomposition_residual,
     build_nonlocal,
     predicted_aa_nf,
     predicted_faa,
     predicted_fnl_nf,
     schmidt_coefficients,
 )
-from contextnet.oracle import estimate_nonlocal_paradox, estimate_paradox
+from contextnet.oracle import estimate
 from contextnet.report import nan_max
 
 ONE_NINTH = 1 / 9
@@ -73,11 +70,14 @@ def _random_ensembles():
             + abs(inner(s.f, s.d2)) ** 2
             - abs(inner(s.f, s.k3)) ** 2
         )
+        report = hardy3.verify_all(s)
         worst_identity = nan_max((
             worst_identity,
-            chain_rule_residual(s),
-            f_expansion_residual(s),
-            nf_relation_residual(s),
+            report.relation("eq3").residual,
+            report.relation("eq6").direct_value,
+            report.relation("eq9").residual,
+            report.relation("eq10a").residual,
+            report.relation("eq10b").residual,
             abs(via_d1 - direct_f3),
             abs(via_d2 - direct_f3),
             abs(normalization - 1.0),
@@ -93,7 +93,9 @@ def _random_ensembles():
             abs(predicted_faa(a2) - abs(inner(s.f_nl, s.kaa)) ** 2),
             abs(predicted_aa_nf(a2) - abs(inner(s.kaa, s.n_f)) ** 2),
         ))
-        worst_identity = nan_max((worst_identity, aa_decomposition_residual(s)))
+        worst_identity = nan_max((
+            worst_identity, nonlocal4.verify_all(s).relation("eq18").direct_value
+        ))
 
     elapsed = time.perf_counter() - t0
     return worst_magnitude, worst_identity, elapsed
@@ -213,8 +215,8 @@ def test_criterion_6_graph_faithfulness_and_entanglement():
 
 def test_criterion_7_statistical_check():
     t0 = time.perf_counter()
-    hardy_est = estimate_paradox(ScenarioParams(0.5, 0.5), seed=20260810, trials=10**6)
-    nl_est = estimate_nonlocal_paradox(LocalParams(0.5), seed=20260810, trials=10**6)
+    hardy_est = estimate(build_scenario(ScenarioParams(0.5, 0.5)), seed=20260810, trials=10**6)
+    nl_est = estimate(build_nonlocal(LocalParams(0.5)), seed=20260810, trials=10**6)
     elapsed = time.perf_counter() - t0
 
     hardy_dev = abs(hardy_est.estimate - ONE_NINTH)

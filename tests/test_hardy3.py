@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextnet import hardy3
 from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import (
     BASIS,
     HardyScenario,
     ScenarioParams,
     build_scenario,
-    chain_rule_residual,
-    f_expansion_residual,
-    nf_relation_residual,
     predicted_f3,
     predicted_nf3,
     predicted_paradox,
@@ -26,6 +22,9 @@ from contextnet.report import report_to_json
 
 interior = st.floats(min_value=0.01, max_value=0.99)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+# The three complex relations that tie N_f to |3>.
+NF_ROWS = ("eq9", "eq10a", "eq10b")
 
 scenario_params = st.builds(
     ScenarioParams, alpha=interior, beta=interior, phase_d1=phases, phase_d2=phases
@@ -69,6 +68,29 @@ class TestScenarioParams:
     def test_from_dict_requires_both_magnitudes(self):
         with pytest.raises(ValueError):
             ScenarioParams.from_dict({"alpha": 0.5})
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_direct_constructor_rejects_non_numbers_as_from_dict_does(self, value):
+        message = f"alpha={value!r} must be a number"
+        with pytest.raises(ValueError) as direct:
+            ScenarioParams(value, 0.5)
+        with pytest.raises(ValueError) as parsed:
+            ScenarioParams.from_dict({"alpha": value, "beta": 0.5})
+        assert str(direct.value) == str(parsed.value) == message
+
+    def test_every_type_is_checked_before_any_domain(self):
+        # alpha is out of domain, but the string beta is named first
+        with pytest.raises(ValueError, match="^beta='x' must be a number$"):
+            ScenarioParams(2.0, "x")
+        with pytest.raises(ValueError, match="^beta='x' must be a number$"):
+            ScenarioParams.from_dict({"alpha": 2.0, "beta": "x"})
+
+    def test_direct_constructor_stores_python_floats(self):
+        p = ScenarioParams(np.float32(0.5), np.float64(0.25), 1, np.float32(2.0))
+        assert p.to_dict() == {"alpha": 0.5, "beta": 0.25, "phase_d1": 1.0, "phase_d2": 2.0}
+        assert all(type(v) is float for v in p.to_dict().values())
+        doc = json.loads(json.dumps(report_to_json(verify_all(build_scenario(p)))))
+        assert doc["params"] == p.to_dict()
 
 
 class TestBuildScenario:
@@ -123,7 +145,7 @@ class TestBuildScenario:
 
 class TestChainRule:
     def test_residual_tiny_at_center(self, center):
-        assert chain_rule_residual(center) < 1e-12
+        assert verify_all(center).relation("eq3").residual < 1e-12
 
     def test_center_overlap_is_alpha_beta(self, center):
         # |<D1|D2>|^2 = alpha * beta = 1/4
@@ -131,29 +153,31 @@ class TestChainRule:
 
     def test_phase_randomized(self):
         s = build_scenario(ScenarioParams(0.5, 0.5, 0.7, -1.3))
-        assert chain_rule_residual(s) < 1e-12
+        assert verify_all(s).relation("eq3").residual < 1e-12
 
     @given(params=scenario_params)
     @settings(max_examples=80, deadline=None)
     def test_identity_holds_everywhere(self, params):
-        assert chain_rule_residual(build_scenario(params)) < 1e-12
+        assert verify_all(build_scenario(params)).relation("eq3").residual < 1e-12
 
 
 class TestFExpansion:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 0.8)])
     def test_zero_phase_cases(self, alpha, beta):
-        assert f_expansion_residual(build_scenario(ScenarioParams(alpha, beta))) < 1e-12
+        report = verify_all(build_scenario(ScenarioParams(alpha, beta)))
+        assert report.relation("eq6").direct_value < 1e-12
 
     @given(params=scenario_params)
     @settings(max_examples=80, deadline=None)
     def test_identity_holds_everywhere(self, params):
-        assert f_expansion_residual(build_scenario(params)) < 1e-12
+        assert verify_all(build_scenario(params)).relation("eq6").direct_value < 1e-12
 
 
 class TestNfRelations:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.25, 0.75)])
     def test_zero_phase_cases(self, alpha, beta):
-        assert nf_relation_residual(build_scenario(ScenarioParams(alpha, beta))) < 1e-12
+        report = verify_all(build_scenario(ScenarioParams(alpha, beta)))
+        assert all(report.relation(rel_id).residual < 1e-12 for rel_id in NF_ROWS)
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(7)
@@ -161,21 +185,8 @@ class TestNfRelations:
             alpha, beta = rng.uniform(0.01, 0.99, size=2)
             ph1, ph2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             s = build_scenario(ScenarioParams(alpha, beta, ph1, ph2))
-            assert nf_relation_residual(s) < 1e-10
-
-    def test_nan_residual_is_not_hidden(self, monkeypatch):
-        verify = hardy3.verify_all
-
-        def with_nan_residual(s):
-            report = verify(s)
-            relations = tuple(
-                dataclasses.replace(r, residual=math.nan) if r.id == "eq10a" else r
-                for r in report.relations
-            )
-            return dataclasses.replace(report, relations=relations)
-
-        monkeypatch.setattr(hardy3, "verify_all", with_nan_residual)
-        assert math.isnan(nf_relation_residual(build_scenario(ScenarioParams(0.5, 0.5))))
+            report = verify_all(s)
+            assert all(report.relation(rel_id).residual < 1e-10 for rel_id in NF_ROWS)
 
 
 class TestPredictedFormulas:

@@ -14,8 +14,6 @@ from contextnet.nonlocal4 import (
     LocalParams,
     NonlocalScenario,
     build_nonlocal,
-    aa_decomposition_residual,
-    is_entangled,
     predicted_aa_nf,
     predicted_faa,
     predicted_fnl_nf,
@@ -145,17 +143,19 @@ class TestFormulaAgainstVectors:
 
 class TestAaDecomposition:
     def test_center(self, center):
-        assert aa_decomposition_residual(center) < 1e-12
+        assert verify_all(center).relation("eq18").direct_value < 1e-12
 
     def test_with_phase(self):
-        assert aa_decomposition_residual(build_nonlocal(LocalParams(0.37, 1.3))) < 1e-12
+        report = verify_all(build_nonlocal(LocalParams(0.37, 1.3)))
+        assert report.relation("eq18").direct_value < 1e-12
 
     def test_random_ensemble(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
             a2 = rng.uniform(0.01, 0.99)
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            assert aa_decomposition_residual(build_nonlocal(LocalParams(a2, phase))) < 1e-10
+            report = verify_all(build_nonlocal(LocalParams(a2, phase)))
+            assert report.relation("eq18").direct_value < 1e-10
 
     def test_nan_factorization_is_not_hidden(self, monkeypatch):
         overlaps = NonlocalScenario.overlaps
@@ -169,7 +169,6 @@ class TestAaDecomposition:
         s = build_nonlocal(LocalParams(0.37, 1.3))
         row = verify_all(s).relation("eq18")
         assert math.isnan(row.direct_value) and math.isnan(row.residual)
-        assert math.isnan(aa_decomposition_residual(s))
 
 
 class TestSchmidt:
@@ -177,7 +176,6 @@ class TestSchmidt:
         first, second = schmidt_coefficients(center.kaa)
         assert first == pytest.approx(1.0, abs=1e-12)
         assert second < 1e-12
-        assert not is_entangled(center.kaa)
 
     def test_maximally_entangled(self):
         bell = StateVector([0.0, SQRT_HALF, SQRT_HALF, 0.0])
@@ -187,7 +185,6 @@ class TestSchmidt:
 
     def test_fnl_is_entangled(self, center):
         assert schmidt_coefficients(center.f_nl)[1] > 1e-10
-        assert is_entangled(center.f_nl)
 
     def test_entanglement_across_sweep(self):
         # derived outcomes stay entangled, everything else stays product

@@ -20,14 +20,12 @@ from contextnet.hilbert import (
     complete_context,
     inner,
 )
-from contextnet.nonlocal4 import LocalParams
+from contextnet.nonlocal4 import LocalParams, build_nonlocal
 from contextnet.oracle import (
     MAX_SEED,
     MAX_TRIALS,
     MeasurementContext,
     estimate,
-    estimate_nonlocal_paradox,
-    estimate_paradox,
     sample_context,
 )
 
@@ -227,35 +225,35 @@ def test_estimate_computes_each_vector_norm_once(monkeypatch):
 
 class TestEstimateParadox:
     def test_center_matches_one_ninth(self):
-        est = estimate_paradox(ScenarioParams(0.5, 0.5), seed=42, trials=10**6)
+        est = estimate(build_scenario(ScenarioParams(0.5, 0.5)), seed=42, trials=10**6)
         assert abs(est.estimate - 1 / 9) <= 4 * est.standard_error
 
     def test_off_center_matches_formula(self):
         # predicted overlap at (1/4, 1/4) is 3/35
-        est = estimate_paradox(ScenarioParams(0.25, 0.25), seed=43, trials=10**6)
+        est = estimate(build_scenario(ScenarioParams(0.25, 0.25)), seed=43, trials=10**6)
         assert abs(est.estimate - 3 / 35) <= 4 * est.standard_error
 
     def test_reproducible(self):
         p = ScenarioParams(0.3, 0.6, 0.4, 1.9)
-        a = estimate_paradox(p, seed=77, trials=20000)
-        b = estimate_paradox(p, seed=77, trials=20000)
+        a = estimate(build_scenario(p), seed=77, trials=20000)
+        b = estimate(build_scenario(p), seed=77, trials=20000)
         assert a == b
 
     def test_zero_trials_rejected(self):
         with pytest.raises(EmptyTrials):
-            estimate_paradox(ScenarioParams(0.5, 0.5), seed=1, trials=0)
+            estimate(build_scenario(ScenarioParams(0.5, 0.5)), seed=1, trials=0)
 
 
 class TestEstimateNonlocalParadox:
     def test_center_matches_one_twelfth(self):
-        est = estimate_nonlocal_paradox(LocalParams(0.5), seed=42, trials=10**6)
+        est = estimate(build_nonlocal(LocalParams(0.5)), seed=42, trials=10**6)
         assert abs(est.estimate - 1 / 12) <= 4 * est.standard_error
 
     def test_reproducible(self):
-        a = estimate_nonlocal_paradox(LocalParams(0.4, 0.5), seed=5, trials=20000)
-        b = estimate_nonlocal_paradox(LocalParams(0.4, 0.5), seed=5, trials=20000)
+        a = estimate(build_nonlocal(LocalParams(0.4, 0.5)), seed=5, trials=20000)
+        b = estimate(build_nonlocal(LocalParams(0.4, 0.5)), seed=5, trials=20000)
         assert a == b
 
     def test_zero_trials_rejected(self):
         with pytest.raises(EmptyTrials):
-            estimate_nonlocal_paradox(LocalParams(0.5), seed=1, trials=0)
+            estimate(build_nonlocal(LocalParams(0.5)), seed=1, trials=0)
