@@ -24,7 +24,6 @@ import os
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +41,10 @@ BROKEN_PIPE_EXIT = 141
 
 #: json's tokens for the floats that ``float.__repr__`` spells nan, inf and -inf.
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Most cells of one block of alpha rows that ``cmd_sweep`` evaluates in one
+#: call; a grid wider than this gets one-row blocks.
+_SWEEP_BLOCK_CELLS = 2**16
 
 #: Scenario name -> module. Each module defines ``PARAMS``, ``build`` and
 #: ``verify_all``, looked up on the module at every call.
@@ -112,16 +115,17 @@ def cmd_verify(kind: str, params_path: str) -> int:
 
 
 def cmd_sweep(
-    grid: int, alpha_range: tuple[float, float], beta_range: tuple[float, float], out: Path
+    grid: int, alpha_range: tuple[float, float], beta_range: tuple[float, float], out: str
 ) -> int:
-    """Write the paradox probability over the grid as CSV, one alpha row at a time.
+    """Write the paradox probability over the grid as CSV, one block of alpha rows at a time.
 
     The grid size and the two ranges are checked first, then every grid
     value, all before the file is opened, so bad input leaves an existing
     file as it was. The grid values are checked in the order a cell-by-cell
     loop would meet them (the first alpha, every beta, the other alphas),
     which fixes the ``error:`` text. A grid whose axes or row template do
-    not fit in memory is bad input too.
+    not fit in memory is bad input too. ``out`` is opened, and echoed in
+    the summary line, as given.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points per axis")
@@ -135,7 +139,8 @@ def cmd_sweep(
     if grid > sys.maxsize // 8:
         raise ValueError(too_large)
     try:
-        alphas = np.linspace(alpha_range[0], alpha_range[1], grid).tolist()
+        alpha_axis = np.linspace(alpha_range[0], alpha_range[1], grid)
+        alphas = alpha_axis.tolist()
         betas = np.linspace(beta_range[0], beta_range[1], grid)
         # One line per beta, each beta formatted once: "%s,<beta>,%.17g\r\n".
         # bytes %-formatting spells a float as f"{x:.17g}" does (both call
@@ -148,22 +153,25 @@ def cmd_sweep(
         require_interior(b, "beta")
     for a in alphas[1:]:
         require_interior(a, "alpha")
-    # (p, alpha, beta). Rows run in lexicographic (alpha, beta) order and
-    # argmax returns the first maximum of a row, so a strict > keeps the
-    # first maximum of the grid, which is the lexicographically smallest.
+    rows = max(1, _SWEEP_BLOCK_CELLS // grid)
+    # (p, alpha, beta). Blocks and the rows within a block run in
+    # lexicographic (alpha, beta) order and argmax returns the first maximum
+    # of a block in row-major order, so a strict > keeps the first maximum of
+    # the grid, which is the lexicographically smallest.
     best = (-1.0, 1.0, 1.0)
     with open(out, "wb") as fh:
         # The csv module's excel dialect would write the same bytes: it never
         # quotes these fields, and it ends each row with \r\n.
         fh.write(b"alpha,beta,p_paradox\r\n")
-        for a in alphas:
-            row = hardy3._paradox(a, betas)
-            args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
-            args[1::2] = row.tolist()
-            fh.write(template % tuple(args))
-            j = row.argmax()
-            if row[j] > best[0]:
-                best = (float(row[j]), a, float(betas[j]))
+        for i in range(0, grid, rows):
+            block = hardy3._paradox(alpha_axis[i : i + rows, None], betas)
+            for a, row in zip(alphas[i : i + rows], block):
+                args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
+                args[1::2] = row.tolist()
+                fh.write(template % tuple(args))
+            r, j = divmod(int(block.argmax()), grid)
+            if block[r, j] > best[0]:
+                best = (float(block[r, j]), alphas[i + r], float(betas[j]))
     print(
         f"sweep {grid}x{grid}: max p_paradox={best[0]:.17g} "
         f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}"
@@ -237,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.scenario, args.params)
         if args.command == "sweep":
-            return cmd_sweep(args.grid, args.alpha_range, args.beta_range, Path(args.out))
+            return cmd_sweep(args.grid, args.alpha_range, args.beta_range, args.out)
         if args.command == "sample":
             return cmd_sample(args.scenario, args.params, args.seed, args.trials)
         return cmd_graph(args.figure)

@@ -132,24 +132,24 @@ def predicted_paradox(alpha: float, beta: float) -> float:
 
 
 # The closed forms without the domain checks: ``verify_all`` reads parameters
-# that ``ScenarioParams`` checked when it was built. Each takes floats or
-# float64 arrays (the sweep passes one alpha and a whole beta axis).
+# that ``ScenarioParams`` checked when it was built. Each takes Python floats,
+# float64 arrays (the sweep passes a column of alphas and the beta axis) and
+# ``fractions.Fraction``s, on which it is exact; the int literals keep a
+# Fraction a Fraction and give a float or a float64 the bits of ``1.0``.
 # Element-wise float64 ``+ - * /`` round exactly as Python floats do, so an
 # array element is bit-identical to the scalar value.
 
 
 def _nf3(a, b):
-    return (1.0 - a) * (1.0 - b) / ((1.0 - a) + a * (1.0 - b))
+    return (1 - a) * (1 - b) / ((1 - a) + a * (1 - b))
 
 
 def _f3(a, b):
-    return a * b / (a + b * (1.0 - a))
+    return a * b / (a + b * (1 - a))
 
 
 def _paradox(a, b):
-    return (a * b / ((1.0 - a) + a * (1.0 - b))) * (
-        (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
-    )
+    return (a * b / ((1 - a) + a * (1 - b))) * ((1 - a) * (1 - b) / (a + b * (1 - a)))
 
 
 def verify_all(s: HardyScenario) -> RelationReport:

@@ -138,19 +138,20 @@ def predicted_aa_nf(a2: float) -> float:
 
 
 # The closed forms without the domain check, which ``LocalParams`` made when
-# it was built; ``verify_all`` calls these.
+# it was built; ``verify_all`` calls these. Like ``hardy3``'s bodies they
+# take Python floats, float64 arrays and ``fractions.Fraction``s.
 
 
 def _fnl_nf(x):
-    return (x * x / (1.0 + x)) * ((1.0 - x) / (x * (2.0 - x)))
+    return (x * x / (1 + x)) * ((1 - x) / (x * (2 - x)))
 
 
 def _faa(x):
-    return x * (2.0 - x)
+    return x * (2 - x)
 
 
 def _aa_nf(x):
-    return x * x * (1.0 - x) / (1.0 + x)
+    return x * x * (1 - x) / (1 + x)
 
 
 def schmidt_coefficients(v: StateVector) -> tuple[float, float]:

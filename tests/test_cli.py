@@ -259,6 +259,31 @@ class TestSweep:
         assert out.read_bytes() == csv_bytes
         assert capsys.readouterr().out == summary
 
+    @pytest.mark.parametrize("grid,alpha_range", [
+        (257, "0.01,0.99"),  # 66,049 cells: a full block of 255 rows, then 2 rows
+        (300, "0.5,0.5"),  # every row equal: the maximum ties in both blocks
+    ])
+    def test_bytes_match_scalar_reference_across_blocks(
+            self, tmp_path, capsys, grid, alpha_range):
+        assert grid * grid > cli._SWEEP_BLOCK_CELLS
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", str(grid), f"--alpha-range={alpha_range}",
+                     "--out", str(out)]) == 0
+        lo, hi = map(float, alpha_range.split(","))
+        csv_bytes, summary = scalar_sweep(
+            np.linspace(lo, hi, grid), np.linspace(0.01, 0.99, grid), out)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
+
+    def test_one_row_blocks_when_a_row_exceeds_the_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 4)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "5", "--alpha-range=0.5,0.5", "--out", str(out)]) == 0
+        values = np.linspace(0.01, 0.99, 5)
+        csv_bytes, summary = scalar_sweep(np.full(5, 0.5), values, out)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
+
     @seed(20231018)
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -271,9 +296,15 @@ class TestSweep:
             hi = data.draw(st.one_of(st.just(lo), st.floats(lo, 1.0 - BOUNDARY_MARGIN)))
             ranges.append((lo, hi))
         (alo, ahi), (blo, bhi) = ranges
+        # Blocks of 2 to grid - 1 rows that do not divide the grid: several
+        # blocks, the last one partial. The spare cells floor away.
+        rows = data.draw(st.integers(2, grid - 1).filter(lambda r: grid % r))
+        cells = rows * grid + data.draw(st.integers(0, grid - 1))
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{alo},{ahi}",
-                     "--beta-range", f"{blo},{bhi}", "--out", str(out)]) == 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_SWEEP_BLOCK_CELLS", cells)
+            assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{alo},{ahi}",
+                         "--beta-range", f"{blo},{bhi}", "--out", str(out)]) == 0
         csv_bytes, summary = scalar_sweep(
             np.linspace(alo, ahi, grid), np.linspace(blo, bhi, grid), out)
         assert out.read_bytes() == csv_bytes
@@ -357,6 +388,18 @@ class TestSweep:
         target = tmp_path / "missing-dir" / "sweep.csv"
         assert main(["sweep", "--grid", "3", "--out", str(target)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_out_path_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--grid", "3", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_echoes_the_out_path_as_given(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--grid", "3", "--out", "./sweep.csv"]) == 0
+        assert capsys.readouterr().out.endswith(" -> ./sweep.csv\n")
+        assert (tmp_path / "sweep.csv").exists()
 
     def test_range_outside_unit_interval_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
