@@ -5,7 +5,9 @@ Everything operates on immutable complex vectors in fixed finite dimension
 
 * ``NORM_CHECK_TOL`` (1e-10) for ``StateVector.is_normalized``, the one
   unit-norm check,
-* ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions,
+* ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions; the one check
+  of an orthonormal basis is ``MeasurementContext``, which
+  ``complete_context`` returns,
 * ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
 Constructions defined only up to a global phase (orthogonal complements,
@@ -17,11 +19,14 @@ construction on identical input is bit-identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Hashable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpan, DimensionMismatch, NotNormalized
+from .errors import DegenerateSpan, DimensionMismatch, IncompleteContext, NotNormalized
 
 ORTH_TOL = 1e-10
 PHASE_CANON = "first-nonzero-real-positive"
@@ -93,9 +98,9 @@ class StateVector:
 
 
 def basis_vector(dim: int, index: int) -> StateVector:
-    """Standard basis vector e_index in the given dimension."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    """Standard basis vector e_index; an index not an integer in [0, dim) is a ValueError."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
+        raise ValueError(f"basis index {index!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
     return StateVector(v)
@@ -156,10 +161,10 @@ class InnerPairs:
 def clamp_probability(value: float) -> float:
     """Clamp a value into [0, 1], allowing only ``PROBABILITY_SLACK`` of spill.
 
-    Values further outside [0, 1] indicate a genuine bug upstream and
-    raise ValueError rather than being silently clipped.
+    Values further outside [0, 1], and NaN, indicate a genuine bug upstream
+    and raise ValueError rather than being silently clipped.
     """
-    if value < -PROBABILITY_SLACK or value > 1.0 + PROBABILITY_SLACK:
+    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:  # NaN too
         raise ValueError(f"value {value!r} is outside [0, 1] by more than {PROBABILITY_SLACK}")
     return min(max(value, 0.0), 1.0)
 
@@ -239,9 +244,12 @@ def _null_spaces(
     size = len(groups[0]) if groups else 0
     try:
         _, sv, vh = np.linalg.svd(m.reshape(len(groups), size, dim))
-    except np.linalg.LinAlgError as exc:  # raised for NaN or infinite inputs
+    except np.linalg.LinAlgError as exc:  # raised for NaN inputs
         raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    return [sum(x * x > ORTH_TOL for x in row) for row in sv.tolist()], vh
+    rows = sv.tolist()
+    if math.isnan(sum(map(sum, rows))):  # an infinite input gives NaN singular values
+        raise DegenerateSpan("inputs are not finite")
+    return [sum(x * x > ORTH_TOL for x in row) for row in rows], vh
 
 
 def _require_dim(groups: Sequence[Sequence[StateVector]], dim: int) -> None:
@@ -291,24 +299,52 @@ def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVect
     return orthogonal_complements([list(vectors)], dim)[0]
 
 
-def complete_context(vectors: Sequence[StateVector], dim: int) -> list[StateVector]:
-    """Deterministically extend orthonormal vectors to a full orthonormal basis.
+@dataclass(frozen=True)
+class MeasurementContext:
+    """A complete orthonormal basis; each vector is one outcome.
+
+    The one orthonormality check: ``dim`` outcomes that pass ``is_normalized``,
+    with every |<u|v>| below ``ORTH_TOL`` (a NaN is not), are complete. With
+    Gram matrix I + E their projector sum, of spectrum I + E, is within
+    ``dim * max|E_ij|`` of the identity in every entry; nothing else is tested.
+    """
+
+    outcomes: tuple[StateVector, ...]
+
+    def __post_init__(self) -> None:
+        outcomes = tuple(self.outcomes)
+        object.__setattr__(self, "outcomes", outcomes)
+        if not outcomes:
+            raise IncompleteContext("a measurement context needs at least one outcome")
+        n = len(outcomes)
+        if any(o.dim != n for o in outcomes):  # a basis of n outcomes in dimension n
+            raise IncompleteContext(f"{n} outcomes must each be of dimension {n}")
+        if not all(o.is_normalized() for o in outcomes):
+            raise IncompleteContext("outcomes are not unit vectors")
+        for i, u in enumerate(outcomes):
+            for v in outcomes[i + 1:]:
+                if not abs(inner(u, v)) < ORTH_TOL:
+                    raise IncompleteContext("outcomes are not mutually orthogonal")
+
+    @property
+    def dim(self) -> int:
+        return self.outcomes[0].dim
+
+
+def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementContext:
+    """Deterministically extend orthonormal vectors to a full measurement context.
 
     The new vectors are the canonically phased null rows of ``_null_spaces``, so
-    the completion is reproducible bit for bit. The returned list starts
-    with the inputs, unchanged.
+    the completion is reproducible bit for bit. The context's outcomes start
+    with the inputs, unchanged, and ``MeasurementContext`` checks them all.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
-        NotNormalized: if an input is not unit norm.
-        DegenerateSpan: if the inputs are not mutually orthogonal (some
-            |<u|v>| is not below ``ORTH_TOL``), or are not finite.
+        DegenerateSpan: if some input is not finite.
+        IncompleteContext: if the inputs are not unit norm, not mutually
+            orthogonal (some |<u|v>| is not below ``ORTH_TOL``) or not
+            independent.
     """
     vecs = list(vectors)
     (rank,), (vh,) = _null_spaces([vecs], dim)
-    for i, v in enumerate(vecs):
-        if not v.is_normalized():
-            raise NotNormalized(f"input has norm {v.norm()!r}, expected 1")
-        if any(not abs(inner(u, v)) < ORTH_TOL for u in vecs[:i]):
-            raise DegenerateSpan("inputs are not mutually orthogonal")
-    return vecs + [StateVector(canonical_phase(row)) for row in vh[rank:]]
+    return MeasurementContext((*vecs, *(StateVector(canonical_phase(r)) for r in vh[rank:])))

@@ -34,6 +34,7 @@ Four diagrams are built in:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -139,11 +140,11 @@ NETWORKS = MappingProxyType({
 
 
 def builtin_network(figure: int) -> ContextNetwork:
-    """The built-in network of ``figure``; a figure ``NETWORKS`` lacks is a ``ValueError``."""
-    try:
-        return NETWORKS[figure]
-    except (KeyError, TypeError):
-        raise ValueError(f"{figure!r} is not a built-in figure {list(NETWORKS)}") from None
+    """The ``NETWORKS`` entry of an integer ``figure`` (not a bool); else a ValueError."""
+    if isinstance(figure, numbers.Integral) and not isinstance(figure, bool):
+        if figure in NETWORKS:
+            return NETWORKS[figure]
+    raise ValueError(f"{figure!r} is not a built-in figure {list(NETWORKS)}")
 
 
 def validate_realization(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, require_interior
+from .errors import DegenerateSpan, DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
@@ -61,11 +61,10 @@ class LocalParams(Params):
 
 @dataclass(frozen=True)
 class NonlocalScenario(Scenario):
-    """Product kets and the two derived outcomes by label, plus the local kets.
+    """Product kets and the two derived outcomes by label, all of dimension 4.
 
-    The dimension-2 kets |0>, |1>, a and b are not figure nodes, so every
-    ``vectors`` entry is a dimension-4 state: |0> and |1> are the class
-    constants ``k0``, ``k1`` from ``BASIS``; a and b are fields.
+    The local kets a and b are not figure nodes: entries 0 and 2 of a,0 and
+    b,0 hold them.
     """
 
     LABELS = {
@@ -83,11 +82,8 @@ class NonlocalScenario(Scenario):
         ("a,a", "N_f"), ("a,a", "f_NL"),
     )
     SAMPLED = ("N_f", "a,a")
-    k0, k1 = BASIS
 
     params: LocalParams
-    ka: StateVector
-    kb: StateVector
 
 
 def build_nonlocal(params: LocalParams) -> NonlocalScenario:
@@ -109,7 +105,7 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     products = (kets[_LEFT, :, None] * kets[_RIGHT, None, :]).reshape(len(_PRODUCTS), 4)
     seeds = dict(zip(("0,0", "0,1", "1,0", "1,1"), PRODUCT_BASIS))
     seeds.update(zip(_PRODUCTS, map(StateVector, products)))
-    return NonlocalScenario.build(params, seeds, ka=ka, kb=kb)
+    return NonlocalScenario.build(params, seeds)
 
 
 def predicted_fnl_nf(a2: float) -> float:
@@ -162,9 +158,12 @@ def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
 
     Raises:
         DimensionMismatch: if the vector is not of dimension 4.
+        DegenerateSpan: if the vector is not finite.
     """
     if v.dim != 4:
         raise DimensionMismatch(f"need a dimension-4 vector, got {v.dim}")
+    if not np.isfinite(v.components).all():
+        raise DegenerateSpan(f"{v!r} is not finite")
     sv = np.linalg.svd(v.components.reshape(2, 2), compute_uv=False)
     return float(sv[0]), float(sv[1])
 

@@ -4,6 +4,8 @@ Sampling uses numpy's Philox bit generator (counter-based, seedable), so
 every estimate is reproducible from its recorded seed and the generator
 name travels with the estimate. Counts partition the trial budget exactly,
 which makes estimates from disjoint runs mergeable by summing counts.
+The oracle only samples: a context is a ``hilbert.MeasurementContext``,
+checked when it was built.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrials, IncompleteContext
-from .hilbert import ORTH_TOL, StateVector, born_probability, complete_context, inner
+from .errors import EmptyTrials
+from .hilbert import MeasurementContext, StateVector, born_probability, complete_context
 from .scenario import Scenario
 
 RNG_NAME = "philox4x64"
@@ -25,42 +27,6 @@ MAX_TRIALS = 2**63 - 1
 
 #: The largest seed: a seed is an unsigned 64-bit integer, so every recorded seed fits one.
 MAX_SEED = 2**64 - 1
-
-
-@dataclass(frozen=True)
-class MeasurementContext:
-    """A complete orthonormal basis; each vector is one outcome.
-
-    ``dim`` unit outcomes that are pairwise orthogonal are complete: with
-    Gram matrix I + E, their projector sum has the spectrum of I + E, so it
-    differs from the identity by at most ``dim * max|E_ij|`` in any entry.
-    The norm and pairwise checks bound that, and nothing else is tested.
-    """
-
-    outcomes: tuple[StateVector, ...]
-
-    def __post_init__(self) -> None:
-        outcomes = tuple(self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
-        if not outcomes:
-            raise IncompleteContext("a measurement context needs at least one outcome")
-        dim = outcomes[0].dim
-        if any(o.dim != dim for o in outcomes):
-            raise IncompleteContext("outcomes mix dimensions")
-        if len(outcomes) != dim:
-            raise IncompleteContext(
-                f"{len(outcomes)} outcomes cannot span a dimension-{dim} space"
-            )
-        if not all(o.is_normalized() for o in outcomes):
-            raise IncompleteContext("outcomes are not unit vectors")
-        for i, u in enumerate(outcomes):
-            for v in outcomes[i + 1:]:
-                if abs(inner(u, v)) >= ORTH_TOL:
-                    raise IncompleteContext("outcomes are not mutually orthogonal")
-
-    @property
-    def dim(self) -> int:
-        return self.outcomes[0].dim
 
 
 @dataclass(frozen=True)
@@ -115,19 +81,10 @@ def sample_context(
     probs = np.array([born_probability(prep, o) for o in ctx.outcomes])
     probs = probs / probs.sum()  # exact simplex point for the sampler
     rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(trials, probs)
     estimates = []
-    for count in counts:
-        e = int(count) / trials
-        estimates.append(
-            SampleEstimate(
-                estimate=e,
-                standard_error=math.sqrt(e * (1.0 - e) / trials),
-                trials=trials,
-                seed=seed,
-                count=int(count),
-            )
-        )
+    for count in rng.multinomial(trials, probs).tolist():  # Python ints
+        e = count / trials
+        estimates.append(SampleEstimate(e, math.sqrt(e * (1.0 - e) / trials), trials, seed, count))
     return estimates
 
 
@@ -137,8 +94,6 @@ def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
     Prepares the first vector of ``SAMPLED``, completes the second to a full
     context and returns the estimate for that outcome.
     """
-    vectors = scenario.vectors
-    prep, outcome = (vectors[label] for label in scenario.SAMPLED)
-    ctx = MeasurementContext(tuple(complete_context([outcome], outcome.dim)))
-    return sample_context(prep, ctx, seed, trials)[0]
+    prep, outcome = (scenario.vectors[label] for label in scenario.SAMPLED)
+    return sample_context(prep, complete_context([outcome], outcome.dim), seed, trials)[0]
 

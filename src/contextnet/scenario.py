@@ -134,13 +134,12 @@ class Scenario:
         self.__dict__.update(state, vectors=MappingProxyType(state["vectors"]))
 
     @classmethod
-    def build(cls, params: Params, seeds: Mapping[str, StateVector], **fields: StateVector):
+    def build(cls, params: Params, seeds: Mapping[str, StateVector]):
         """The scenario that completes ``seeds`` (label -> vector) along ``DERIVED``.
 
         Each derived label is the orthogonal complement of the vectors it is
         orthogonal to, with the bits of an ``orthogonal_complement`` call;
-        each of ``STAGES`` takes one ``orthogonal_complements`` call. ``fields``
-        are the fields no label names.
+        each of ``STAGES`` takes one ``orthogonal_complements`` call.
         """
         vectors = dict(seeds)
         for stage in cls.STAGES:
@@ -149,7 +148,7 @@ class Scenario:
             vectors.update(zip([label for label, _ in stage], derived))
         # Stages finish out of DERIVED order; ``vectors`` keeps LABELS order.
         ordered = {label: vectors[label] for label in cls.LABELS}
-        return cls(params, MappingProxyType(ordered), **fields)
+        return cls(params, MappingProxyType(ordered))
 
     def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""

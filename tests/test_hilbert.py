@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextnet.errors import DegenerateSpan, DimensionMismatch, NotNormalized
+from contextnet.errors import DegenerateSpan, DimensionMismatch, IncompleteContext, NotNormalized
 from contextnet.hilbert import (
     ORTH_TOL,
     InnerPairs,
+    MeasurementContext,
     StateVector,
     basis_vector,
     born_probability,
@@ -132,7 +133,7 @@ def _made_vectors():
         "tensor": tensor(u, w),
         "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])], 3),
         "orthogonal_complements": orthogonal_complements([[e0, w], [w, basis_vector(3, 1)]], 3)[1],
-        "complete_context": complete_context([w], 3)[2],
+        "complete_context": complete_context([w], 3).outcomes[2],
     }
 
 
@@ -224,6 +225,8 @@ class TestClampProbability:
             clamp_probability(1.1)
         with pytest.raises(ValueError):
             clamp_probability(-0.1)
+        with pytest.raises(ValueError):
+            clamp_probability(math.nan)
 
 
 class TestTensor:
@@ -481,7 +484,7 @@ class TestCanonicalPhase:
 class TestCompleteContext:
     def test_completes_to_full_basis(self):
         f = _normalized([1.0, 1.0, 1.0])
-        basis = complete_context([f], 3)
+        basis = complete_context([f], 3).outcomes
         assert len(basis) == 3
         assert basis[0] == f
         for i, u in enumerate(basis):
@@ -491,15 +494,15 @@ class TestCompleteContext:
 
     def test_deterministic(self):
         f = _normalized([0.5, 0.5j, -0.5, 0.5])
-        a = complete_context([f], 4)
-        b = complete_context([f], 4)
+        a = complete_context([f], 4).outcomes
+        b = complete_context([f], 4).outcomes
         for u, v in zip(a, b):
             assert np.array_equal(u.components, v.components)
 
     def test_completes_two_inputs_in_dimension_4(self):
         u = _normalized([1.0, 1.0j, 0.0, 1.0])
         v = _normalized([1.0, 0.0, 1.0, -1.0])
-        basis = complete_context([u, v], 4)
+        basis = complete_context([u, v], 4).outcomes
         assert len(basis) == 4
         assert basis[0] == u and basis[1] == v
         m = np.array([b.components for b in basis])
@@ -507,23 +510,48 @@ class TestCompleteContext:
         for b in basis[2:]:
             lead = next(c for c in b.components if abs(c) > 1e-10)
             assert lead.real > 0 and abs(lead.imag) < 1e-15
-        again = complete_context([u, v], 4)
+        again = complete_context([u, v], 4).outcomes
         assert all(np.array_equal(a.components, b.components) for a, b in zip(basis, again))
 
     def test_rejects_non_orthogonal_inputs(self):
         u = _normalized([1.0, 1.0])
-        with pytest.raises(DegenerateSpan):
+        with pytest.raises(IncompleteContext, match="mutually orthogonal"):
             complete_context([u, basis_vector(2, 0)], 2)
 
     def test_rejects_unnormalized_inputs(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(IncompleteContext, match="unit vectors"):
             complete_context([StateVector([2.0, 0.0])], 2)
+
+    def test_returns_the_checked_context_starting_with_its_inputs(self):
+        u, v = _normalized([1.0, 1.0j, 0.0, 1.0]), _normalized([1.0, 0.0, 1.0, -1.0])
+        for inputs in ([u], [u, v], [basis_vector(4, i) for i in range(4)]):
+            ctx = complete_context(inputs, 4)
+            assert type(ctx) is MeasurementContext and ctx.dim == 4
+            assert ctx.outcomes[:len(inputs)] == tuple(inputs)
+            assert MeasurementContext(ctx.outcomes) == ctx
+
+    def test_dependent_inputs_fail_the_count_check(self):
+        # a duplicate or a combination adds one outcome too many to the context
+        e0, e1 = basis_vector(3, 0), basis_vector(3, 1)
+        for inputs in ([e0, e0], [e0, e1, _normalized([1.0, 1.0, 0.0])]):
+            with pytest.raises(IncompleteContext, match="4 outcomes must each be of dimension 4"):
+                complete_context(inputs, 3)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
             complete_context([basis_vector(3, 0)], 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(DegenerateSpan):
+            complete_context([StateVector([bad, 0.0, 0.0])], 3)
+
 
 def test_basis_vector_bounds():
     with pytest.raises(ValueError):
         basis_vector(3, 3)
+    # a bool or a float is not an index: numpy would read True as a mask
+    for index in (True, False, 1.0, -1, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            basis_vector(3, index)
+    assert basis_vector(3, np.int64(2)) == basis_vector(3, 2)

@@ -94,10 +94,13 @@ class TestBuiltinNetworks:
         assert set(small.edges) < set(big.edges)
         assert set(small.required_non_edges) < set(big.required_non_edges)
 
-    @pytest.mark.parametrize("figure", [0, 5, "2", None, [2]])
+    @pytest.mark.parametrize("figure", [0, 5, "2", None, [2], True, 1.0, 2.0])
     def test_unknown_figure_raises_value_error(self, figure):
         with pytest.raises(ValueError, match="not a built-in figure"):
             builtin_network(figure)
+
+    def test_numpy_integer_figure_is_accepted(self):
+        assert builtin_network(np.int64(2)) is builtin_network(2)
 
     def test_edges_and_non_edges_disjoint(self):
         for fig in (1, 2, 3, 4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextnet.errors import DimensionMismatch, OutOfDomain
+from contextnet.errors import DegenerateSpan, DimensionMismatch, OutOfDomain
 from contextnet.hardy3 import predicted_paradox
 from contextnet.hilbert import StateVector, inner, tensor
 from contextnet.nonlocal4 import (
@@ -55,17 +55,21 @@ class TestLocalParams:
 
 class TestBuildNonlocal:
     def test_local_overlap_is_exact(self):
+        # <a,0|0,0> = <a|0> and <a,0|b,0> = <a|b>
         s = build_nonlocal(LocalParams(0.37, 2.2))
-        assert abs(inner(s.ka, s.k0)) ** 2 == pytest.approx(0.37, abs=1e-15)
-        assert abs(inner(s.ka, s.kb)) < 1e-12
+        assert abs(inner(s.ka0, s.k00)) ** 2 == pytest.approx(0.37, abs=1e-15)
+        assert abs(inner(s.ka0, s.kb0)) < 1e-12
 
     def test_product_kets_are_products(self, center):
-        assert center.ka0 == tensor(center.ka, center.k0)
-        assert center.k0b == tensor(center.k0, center.kb)
+        # a and b are entries 0 and 2 of a,0 and b,0
+        k0 = BASIS[0]
+        ka, kb = (StateVector(ket.components[::2]) for ket in (center.ka0, center.kb0))
+        assert center.ka0 == tensor(ka, k0) and center.k0a == tensor(k0, ka)
+        assert center.kb0 == tensor(kb, k0) and center.k0b == tensor(k0, kb)
+        assert center.kaa == tensor(ka, ka)
         assert np.array_equal(center.k00.components, [1, 0, 0, 0])
 
     def test_shared_kets_are_write_protected(self, center):
-        assert (center.k0, center.k1) == BASIS
         assert (center.k00, center.k01, center.k10, center.k11) == PRODUCT_BASIS
         for i, ket in enumerate(PRODUCT_BASIS):
             assert np.array_equal(ket.components, np.eye(4)[i])
@@ -200,6 +204,11 @@ class TestSchmidt:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             schmidt_coefficients(StateVector([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateSpan, match="not finite"):
+            schmidt_coefficients(StateVector([bad, 0.0, 0.0, 0.0]))
 
 
 class TestVerifyAll:

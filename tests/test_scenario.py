@@ -37,9 +37,6 @@ from contextnet.report import Relation, RelationReport, nan_max, report_to_json
 #: Each scenario with the figure whose nodes it realizes.
 FIGURES = [(HardyScenario, 2), (NonlocalScenario, 4)]
 
-#: The dimension-2 kets of ``NonlocalScenario``, the only vectors outside its ``vectors``.
-LOCAL_KETS = ("k0", "k1", "ka", "kb")
-
 
 @pytest.mark.parametrize("scenario,figure", FIGURES)
 def test_every_derived_constraint_inside_the_figure_is_an_edge(scenario, figure):
@@ -90,6 +87,11 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
     for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert copied == s and hash(copied) == hash(s)
         assert isinstance(copied.vectors, types.MappingProxyType)
+
+
+@pytest.mark.parametrize("scenario", [HardyScenario, NonlocalScenario])
+def test_a_scenario_is_its_params_and_labelled_vectors(scenario):
+    assert [f.name for f in dataclasses.fields(scenario)] == ["params", "vectors"]
 
 
 def test_relations_are_frozen_records_that_copy_and_pickle():
@@ -241,7 +243,10 @@ def reference_hardy(p):
 
 
 def reference_nonlocal(p):
-    """(label or local ket name -> vector, report) of the two-qubit scenario, spelled out."""
+    """(label -> vector, report) of the two-qubit scenario, spelled out.
+
+    a and b are not labels; entries 0 and 2 of a,0 and b,0 hold their bits.
+    """
     x = p.a2
     k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
     ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
@@ -253,7 +258,6 @@ def reference_nonlocal(p):
     f_nl = reference_complement([kb0, k0b, k11], 4)
     n_f = reference_complement([ka0, k0a, k11], 4)
     vectors = {
-        "k0": k0, "k1": k1, "ka": ka, "kb": kb,
         "0,0": k00, "0,1": k01, "1,0": k10, "1,1": k11,
         "a,0": ka0, "0,a": k0a, "b,0": kb0, "0,b": k0b,
         "a,a": kaa, "f_NL": f_nl, "N_f": n_f,
@@ -297,11 +301,10 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
         if isinstance(p, ScenarioParams):
             s, report = build_scenario(p), verify_hardy
             vectors, expected = reference_hardy(p)
-            built = dict(s.vectors)
         else:
             s, report = build_nonlocal(p), verify_nonlocal
             vectors, expected = reference_nonlocal(p)
-            built = {name: getattr(s, name) for name in LOCAL_KETS} | dict(s.vectors)
+        built = dict(s.vectors)
         assert built.keys() == vectors.keys()
         for name, v in vectors.items():
             assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
