@@ -10,7 +10,7 @@ parameters and two phases:
 so alpha = |<D1|3>|^2 and beta = |<D2|3>|^2. Everything else is derived
 purely from orthogonality, never from the closed-form coefficient
 relations under test (that separation is what makes the vectors an
-independent oracle for the formulas), as ``HardyScenario.DERIVED`` lists:
+independent oracle for the formulas), as ``build_scenario`` computes them:
 
     S1  completes the context {1, D1, S1}
     S2  completes the context {2, D2, S2}
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector
+from .hilbert import StateVector, basis_vector, orthogonal_complement, orthogonal_complements
 from .report import RelationReport
 from .scenario import Params, Scenario
 
@@ -64,13 +64,6 @@ class HardyScenario(Scenario):
         "S1": "s1", "S2": "s2",
         "f": "f", "N_f": "n_f",
     }
-    DIM = 3
-    DERIVED = (
-        ("S1", ("1", "D1")),
-        ("S2", ("2", "D2")),
-        ("f", ("S1", "S2")),
-        ("N_f", ("D1", "D2")),
-    )
     OVERLAPS = (
         ("D1", "3"), ("3", "D2"), ("D1", "D2"),
         ("D1", "f"), ("D2", "f"), ("3", "f"),
@@ -87,9 +80,10 @@ class HardyScenario(Scenario):
 def build_scenario(params: ScenarioParams) -> HardyScenario:
     """Construct all nine vectors from the scenario parameters.
 
-    The central context is ``BASIS``; D1 and D2 are written down directly;
-    S1, S2, f and N_f follow from ``DERIVED`` with the canonical phase, so
-    the construction is deterministic and independent of the predicted_*
+    The central context is ``BASIS``; D1 and D2 are written down directly.
+    S1, S2 and N_f are the complements of their two neighbours from one
+    stacked SVD, and f is that of S1 and S2, all with the canonical phase,
+    so the construction is deterministic and independent of the predicted_*
     closed forms.
     """
     a, b = params.alpha, params.beta
@@ -100,7 +94,9 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     d2 = StateVector(
         [math.sqrt(1.0 - b), 0.0, cmath.exp(1j * params.phase_d2) * math.sqrt(b)]
     )
-    return HardyScenario.build(params, {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2})
+    s1, s2, n_f = orthogonal_complements([[k1, d1], [k2, d2], [d1, d2]], 3)
+    f = orthogonal_complement([s1, s2], 3)
+    return HardyScenario.build(params, (k1, k2, k3, d1, d2, s1, s2, f, n_f))
 
 
 def predicted_nf3(alpha: float, beta: float) -> float:

@@ -98,7 +98,14 @@ class StateVector:
 
 
 def basis_vector(dim: int, index: int) -> StateVector:
-    """Standard basis vector e_index; an index not an integer in [0, dim) is a ValueError."""
+    """Standard basis vector e_index of dimension ``dim``.
+
+    Raises:
+        ValueError: if ``dim`` is not an integer >= 1, or ``index`` not an
+            integer in [0, dim). A bool is neither.
+    """
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dimension {dim!r} is not an integer >= 1")
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
         raise ValueError(f"basis index {index!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=np.complex128)

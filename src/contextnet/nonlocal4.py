@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
-from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
+from .hilbert import StateVector, basis_vector, tensor
+from .hilbert import orthogonal_complement, orthogonal_complements
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
@@ -45,9 +46,8 @@ BASIS = (basis_vector(2, 0), basis_vector(2, 1))
 PRODUCT_BASIS = tuple(tensor(u, v) for u in BASIS for v in BASIS)
 
 
-#: The product seeds of ``build_nonlocal``, each with the rows of its left and
-#: right factor in the stack (|0>, a, b).
-_PRODUCTS = ("a,0", "0,a", "b,0", "0,b", "a,a")
+#: The rows of the left and right factors, in the stack (|0>, a, b), of the
+#: products a,0  0,a  b,0  0,b  a,a that ``build_nonlocal`` forms.
 _LEFT, _RIGHT = np.array([[1, 0], [0, 1], [2, 0], [0, 2], [1, 1]]).T
 
 
@@ -72,11 +72,6 @@ class NonlocalScenario(Scenario):
         "a,0": "ka0", "0,a": "k0a", "b,0": "kb0", "0,b": "k0b",
         "a,a": "kaa", "f_NL": "f_nl", "N_f": "n_f",
     }
-    DIM = 4
-    DERIVED = (
-        ("f_NL", ("b,0", "0,b", "1,1")),
-        ("N_f", ("a,0", "0,a", "1,1")),
-    )
     OVERLAPS = (
         ("f_NL", "N_f"), ("f_NL", "a,a"), ("1,1", "a,a"),
         ("a,a", "N_f"), ("a,a", "f_NL"),
@@ -90,9 +85,10 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     """Construct the full two-qubit scenario from the local parameters.
 
     The relative phase sits on the |0> component of |a| so that
-    |<a|0>|^2 equals a2 exactly; |b> and the two ``DERIVED`` dimension-4
-    outcomes inherit the canonical complement phase. The fixed kets come
-    from ``BASIS`` and ``PRODUCT_BASIS``.
+    |<a|0>|^2 equals a2 exactly. |b> is the complement of |a>; f_NL and
+    N_f are those of b,0  0,b  1,1 and of a,0  0,a  1,1, from one stacked
+    SVD. All three inherit the canonical complement phase. The fixed kets
+    come from ``BASIS`` and ``PRODUCT_BASIS``.
     """
     a2 = params.a2
     ka = StateVector(
@@ -102,10 +98,11 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     kets = np.array([BASIS[0]._components, ka._components, kb._components])
     # Row k is tensor(left ket k, right ket k): one broadcast multiply, the same
     # element-wise products as the five separate calls.
-    products = (kets[_LEFT, :, None] * kets[_RIGHT, None, :]).reshape(len(_PRODUCTS), 4)
-    seeds = dict(zip(("0,0", "0,1", "1,0", "1,1"), PRODUCT_BASIS))
-    seeds.update(zip(_PRODUCTS, map(StateVector, products)))
-    return NonlocalScenario.build(params, seeds)
+    products = (kets[_LEFT, :, None] * kets[_RIGHT, None, :]).reshape(len(_LEFT), 4)
+    ka0, k0a, kb0, k0b, kaa = map(StateVector, products)
+    k00, k01, k10, k11 = PRODUCT_BASIS
+    f_nl, n_f = orthogonal_complements([[kb0, k0b, k11], [ka0, k0a, k11]], 4)
+    return NonlocalScenario.build(params, (k00, k01, k10, k11, ka0, k0a, kb0, k0b, kaa, f_nl, n_f))
 
 
 def predicted_fnl_nf(a2: float) -> float:

@@ -1,8 +1,10 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
 A scenario module declares its parameters as frozen dataclass fields, its
-outcome labels in a ``LABELS`` table, its derived vectors in a ``DERIVED``
-table and its relations as rows over labelled overlaps.
+outcome labels in a ``LABELS`` table and its relations as rows over
+labelled overlaps. Its builder computes every vector, each derived one with
+the ``orthogonal_complements`` calls it spells out, and hands them to
+``Scenario.build`` in ``LABELS`` order.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
 from .errors import OutOfDomain, require_interior
-from .hilbert import InnerPairs, StateVector, orthogonal_complements
+from .hilbert import InnerPairs, StateVector
 from .report import Relation, RelationReport, Scalar
 
 
@@ -90,24 +92,15 @@ class Scenario:
 
     ``vectors`` is the read-only label -> vector mapping, in ``LABELS``
     order, that ``build`` fills once. ``LABELS`` maps each figure node label
-    to the read-only attribute that returns its vector. ``DIM`` is the
-    dimension of those vectors, and ``DERIVED`` lists each derived label
-    with the labels it is orthogonal to, after any derived label it uses.
-    ``OVERLAPS`` lists the (x, y) pairs whose <x|y> the relations read.
-    ``SAMPLED`` names the (prepared state, detected outcome) pair whose
-    frequency the oracle samples.
-
-    ``STAGES`` groups the entries of ``DERIVED`` when the class is defined:
-    a stage needs only seeds and earlier stages, and all its entries are
-    orthogonal to equally many labels, so one stacked SVD builds it.
+    to the read-only attribute that returns its vector. ``OVERLAPS`` lists
+    the (x, y) pairs whose <x|y> the relations read. ``SAMPLED`` names the
+    (prepared state, detected outcome) pair whose frequency the oracle
+    samples.
     """
 
     LABELS: ClassVar[Mapping[str, str]]
-    DIM: ClassVar[int]
-    DERIVED: ClassVar[tuple[tuple[str, tuple[str, ...]], ...]]
     OVERLAPS: ClassVar[tuple[tuple[str, str], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
-    STAGES: ClassVar[tuple[tuple[tuple[str, tuple[str, ...]], ...], ...]]
     _inner_pairs: ClassVar[InnerPairs]  # the stacked pass over OVERLAPS
 
     params: Params
@@ -117,13 +110,6 @@ class Scenario:
         super().__init_subclass__(**kwargs)
         for label, attr in cls.LABELS.items():
             setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
-        depth: dict[str, int] = {}
-        stages: dict[tuple[int, int], list] = {}
-        for label, orthogonal_to in cls.DERIVED:
-            depth[label] = max((depth[o] + 1 for o in orthogonal_to if o in depth), default=0)
-            key = (depth[label], len(orthogonal_to))
-            stages.setdefault(key, []).append((label, orthogonal_to))
-        cls.STAGES = tuple(tuple(stages[key]) for key in sorted(stages))
         cls._inner_pairs = InnerPairs(cls.OVERLAPS)
 
     # A mappingproxy does not pickle, so pickle and deepcopy carry a plain dict.
@@ -134,21 +120,13 @@ class Scenario:
         self.__dict__.update(state, vectors=MappingProxyType(state["vectors"]))
 
     @classmethod
-    def build(cls, params: Params, seeds: Mapping[str, StateVector]):
-        """The scenario that completes ``seeds`` (label -> vector) along ``DERIVED``.
+    def build(cls, params: Params, vectors: Sequence[StateVector]):
+        """The scenario of ``params`` whose vectors, given in ``LABELS`` order, get its labels.
 
-        Each derived label is the orthogonal complement of the vectors it is
-        orthogonal to, with the bits of an ``orthogonal_complement`` call;
-        each of ``STAGES`` takes one ``orthogonal_complements`` call.
+        Raises:
+            ValueError: if there are not as many vectors as labels.
         """
-        vectors = dict(seeds)
-        for stage in cls.STAGES:
-            groups = [[vectors[other] for other in orthogonal_to] for _, orthogonal_to in stage]
-            derived = orthogonal_complements(groups, cls.DIM)
-            vectors.update(zip([label for label, _ in stage], derived))
-        # Stages finish out of DERIVED order; ``vectors`` keeps LABELS order.
-        ordered = {label: vectors[label] for label in cls.LABELS}
-        return cls(params, MappingProxyType(ordered))
+        return cls(params, MappingProxyType(dict(zip(cls.LABELS, vectors, strict=True))))
 
     def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""

@@ -555,3 +555,10 @@ def test_basis_vector_bounds():
         with pytest.raises(ValueError, match="not an integer"):
             basis_vector(3, index)
     assert basis_vector(3, np.int64(2)) == basis_vector(3, 2)
+    # the dimension is checked too, and named: numpy would take 3.0 or True
+    for dim in (True, 2.5, 3.0, "3", -1, 0):
+        with pytest.raises(ValueError, match="dimension .* is not an integer >= 1"):
+            basis_vector(dim, 0)
+    with pytest.raises(ValueError, match="dimension 3.0"):
+        basis_vector(3.0, 1)
+    assert basis_vector(np.int64(3), 1) == basis_vector(3, 1)

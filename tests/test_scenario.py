@@ -1,12 +1,12 @@
-"""The shared scenario core: the ``DERIVED`` tables and a reference for every bit.
+"""The shared scenario core: the built scenarios and a reference for every bit.
 
 The reference functions below repeat, call by call, the arithmetic the
-scenario modules had before their builders and reports went through
-``Scenario.build`` and ``Scenario.report``: one SVD of each derived
-vector's inputs alone (``reference_complement``) and one ``inner`` call per
-overlap of a relation row. Built vectors and reports must equal them byte
-for byte, so a change in how the table is walked, how the SVDs are stacked
-or how the overlaps are computed cannot move a bit unnoticed.
+scenario modules had before their builders stacked their SVDs and their
+reports went through ``Scenario.report``: one SVD of each derived vector's
+inputs alone (``reference_complement``) and one ``inner`` call per overlap
+of a relation row. Built vectors, in ``LABELS`` order, and reports must
+equal them byte for byte, so a change in how the SVDs are stacked or how
+the overlaps are computed cannot move a bit unnoticed.
 """
 
 import cmath
@@ -29,29 +29,9 @@ from contextnet.hilbert import (
     inner,
     tensor,
 )
-from contextnet.network import builtin_network
 from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
 from contextnet.report import Relation, RelationReport, nan_max, report_to_json
-
-#: Each scenario with the figure whose nodes it realizes.
-FIGURES = [(HardyScenario, 2), (NonlocalScenario, 4)]
-
-
-@pytest.mark.parametrize("scenario,figure", FIGURES)
-def test_every_derived_constraint_inside_the_figure_is_an_edge(scenario, figure):
-    net = builtin_network(figure)
-    for label, orthogonal_to in scenario.DERIVED:
-        for other in orthogonal_to:
-            if label in net.nodes and other in net.nodes:
-                assert tuple(sorted((label, other))) in net.edges, (label, other)
-
-
-@pytest.mark.parametrize("scenario,figure", FIGURES)
-def test_every_derived_label_names_a_vector(scenario, figure):
-    for label, orthogonal_to in scenario.DERIVED:
-        assert label in scenario.LABELS
-        assert set(orthogonal_to) <= set(scenario.LABELS)
 
 
 @pytest.mark.parametrize("build,params", [
@@ -60,11 +40,19 @@ def test_every_derived_label_names_a_vector(scenario, figure):
 ])
 def test_built_vectors_keep_their_derived_orthogonality(build, params):
     s = build(params)
-    vectors = s.vectors
-    for label, orthogonal_to in s.DERIVED:
-        assert vectors[label].dim == s.DIM
+    # the dimension, and each derived label with the labels it is orthogonal to
+    dim, derived = {
+        HardyScenario: (3, {
+            "S1": ("1", "D1"), "S2": ("2", "D2"), "f": ("S1", "S2"), "N_f": ("D1", "D2"),
+        }),
+        NonlocalScenario: (4, {
+            "f_NL": ("b,0", "0,b", "1,1"), "N_f": ("a,0", "0,a", "1,1"),
+        }),
+    }[type(s)]
+    assert {v.dim for v in s.vectors.values()} == {dim}
+    for label, orthogonal_to in derived.items():
         for other in orthogonal_to:
-            assert abs(inner(vectors[label], vectors[other])) < ORTH_TOL
+            assert abs(inner(s.vectors[label], s.vectors[other])) < ORTH_TOL, (label, other)
 
 
 @pytest.mark.parametrize("build,params,other", [
@@ -78,6 +66,8 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.n_f = s.n_f
     assert list(s.vectors) == list(s.LABELS)
+    with pytest.raises(ValueError):  # one vector short of LABELS
+        type(s).build(params, list(s.vectors.values())[:-1])
     for label, attr in s.LABELS.items():
         assert getattr(s, attr) is s.vectors[label]
     assert s.realization() is s.vectors
@@ -150,18 +140,6 @@ def test_overlaps_lists_exactly_the_pairs_the_relations_read(build, verify, para
     assert len(tables) == 1
     assert len(set(s.OVERLAPS)) == len(s.OVERLAPS)
     assert tables[0].read == set(s.OVERLAPS)
-
-
-@pytest.mark.parametrize("build,params,stages", [
-    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1), [["S1", "S2", "N_f"], ["f"]]),
-    (build_nonlocal, LocalParams(0.3, 1.1), [["f_NL", "N_f"]]),
-])
-def test_stages_group_derived_by_dependency_and_vectors_keep_labels_order(build, params, stages):
-    s = build(params)
-    assert [[label for label, _ in stage] for stage in s.STAGES] == stages
-    assert sorted(entry for stage in s.STAGES for entry in stage) == sorted(s.DERIVED)
-    # hardy3's f is in the last stage, after N_f, but keeps its LABELS place
-    assert list(s.vectors) == list(s.LABELS)
 
 
 def make_points(seed, n):
@@ -305,7 +283,7 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
             s, report = build_nonlocal(p), verify_nonlocal
             vectors, expected = reference_nonlocal(p)
         built = dict(s.vectors)
-        assert built.keys() == vectors.keys()
+        assert list(built) == list(vectors)
         for name, v in vectors.items():
             assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
         got = json.dumps(hex_floats(report_to_json(report(s))))
