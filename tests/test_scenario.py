@@ -27,11 +27,22 @@ from contextnet.hilbert import (
     StateVector,
     basis_vector,
     inner,
+    orthogonal_complements,
     tensor,
 )
 from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
 from contextnet.report import Relation, RelationReport, nan_max, report_to_json
+
+#: Each scenario's dimension, and each derived label with the labels it is orthogonal to.
+DERIVED = {
+    HardyScenario: (3, {
+        "S1": ("1", "D1"), "S2": ("2", "D2"), "f": ("S1", "S2"), "N_f": ("D1", "D2"),
+    }),
+    NonlocalScenario: (4, {
+        "f_NL": ("b,0", "0,b", "1,1"), "N_f": ("a,0", "0,a", "1,1"),
+    }),
+}
 
 
 @pytest.mark.parametrize("build,params", [
@@ -40,15 +51,7 @@ from contextnet.report import Relation, RelationReport, nan_max, report_to_json
 ])
 def test_built_vectors_keep_their_derived_orthogonality(build, params):
     s = build(params)
-    # the dimension, and each derived label with the labels it is orthogonal to
-    dim, derived = {
-        HardyScenario: (3, {
-            "S1": ("1", "D1"), "S2": ("2", "D2"), "f": ("S1", "S2"), "N_f": ("D1", "D2"),
-        }),
-        NonlocalScenario: (4, {
-            "f_NL": ("b,0", "0,b", "1,1"), "N_f": ("a,0", "0,a", "1,1"),
-        }),
-    }[type(s)]
+    dim, derived = DERIVED[type(s)]
     assert {v.dim for v in s.vectors.values()} == {dim}
     for label, orthogonal_to in derived.items():
         for other in orthogonal_to:
@@ -140,6 +143,23 @@ def test_overlaps_lists_exactly_the_pairs_the_relations_read(build, verify, para
     assert len(tables) == 1
     assert len(set(s.OVERLAPS)) == len(s.OVERLAPS)
     assert tables[0].read == set(s.OVERLAPS)
+
+
+@pytest.mark.parametrize("build,params,stages", [
+    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1), [["S1", "S2", "N_f"], ["f"]]),
+    (build_nonlocal, LocalParams(0.3, 1.1), [["f_NL", "N_f"]]),
+])
+def test_stages_group_derived_by_dependency_and_vectors_keep_labels_order(build, params, stages):
+    s = build(params)
+    dim, derived = DERIVED[type(s)]
+    assert sorted(label for stage in stages for label in stage) == sorted(derived)
+    # each stage is one stacked SVD over seeds and earlier stages, as the builder makes it
+    for stage in stages:
+        groups = [[s.vectors[other] for other in derived[label]] for label in stage]
+        for label, v in zip(stage, orthogonal_complements(groups, dim), strict=True):
+            assert s.vectors[label].components.tobytes() == v.components.tobytes(), label
+    # hardy3's f is built last, after N_f, but keeps its LABELS place
+    assert list(s.vectors) == list(s.LABELS)
 
 
 def make_points(seed, n):
