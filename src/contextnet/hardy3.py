@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, orthogonal_complement, orthogonal_complements
+from .hilbert import StateVector, basis_vector, orthogonal_complement
 from .report import RelationReport
 from .scenario import Params, Scenario
 
@@ -81,10 +81,11 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     """Construct all nine vectors from the scenario parameters.
 
     The central context is ``BASIS``; D1 and D2 are written down directly.
-    S1, S2 and N_f are the complements of their two neighbours from one
-    stacked SVD, and f is that of S1 and S2, all with the canonical phase,
-    so the construction is deterministic and independent of the predicted_*
-    closed forms.
+    Each derived vector is one ``orthogonal_complement`` call, the
+    normalised, canonically phased cofactor (cross) product of its two
+    neighbours: S1 of 1 and D1, S2 of 2 and D2, N_f of D1 and D2, then f of
+    S1 and S2. The construction is deterministic and independent of the
+    predicted_* closed forms.
     """
     a, b = params.alpha, params.beta
     k1, k2, k3 = BASIS
@@ -94,7 +95,9 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     d2 = StateVector(
         [math.sqrt(1.0 - b), 0.0, cmath.exp(1j * params.phase_d2) * math.sqrt(b)]
     )
-    s1, s2, n_f = orthogonal_complements([[k1, d1], [k2, d2], [d1, d2]], 3)
+    s1 = orthogonal_complement([k1, d1], 3)
+    s2 = orthogonal_complement([k2, d2], 3)
+    n_f = orthogonal_complement([d1, d2], 3)
     f = orthogonal_complement([s1, s2], 3)
     return HardyScenario.build(params, (k1, k2, k3, d1, d2, s1, s2, f, n_f))
 

@@ -5,13 +5,16 @@ Everything operates on immutable complex vectors in fixed finite dimension
 
 * ``NORM_CHECK_TOL`` (1e-10) for ``StateVector.is_normalized``, the one
   unit-norm check,
-* ``ORTH_TOL`` (1e-10) for orthogonality and rank decisions; the one check
-  of an orthonormal basis is ``MeasurementContext``, which
-  ``complete_context`` returns,
+* ``ORTH_TOL`` (1e-10) for orthogonality, rank and Gram-determinant
+  decisions; the one check of an orthonormal basis is
+  ``MeasurementContext``, which ``complete_context`` returns,
 * ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
-Constructions defined only up to a global phase (orthogonal complements,
-basis completions) are made deterministic by the phase canon
+The vector orthogonal to dim - 1 given ones, which fixes each derived
+outcome, is their ``cofactor`` product, written out over numbers; only
+``complete_context``, whose completion of a basis has no unique answer,
+takes an SVD. Constructions defined only up to a global phase (orthogonal
+complements, basis completions) are made deterministic by the phase canon
 ``first-nonzero-real-positive``: the first component with magnitude above
 ``ORTH_TOL`` is rotated onto the positive real axis. Re-running any
 construction on identical input is bit-identical.
@@ -210,100 +213,118 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
 def canonical_phase(components: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase to the canonical choice.
 
-    The first component with magnitude above ``ORTH_TOL`` becomes real and
-    positive (up to double-precision rounding in its imaginary part).
+    The first component c with magnitude above ``ORTH_TOL`` becomes real and
+    positive (up to double-precision rounding in its imaginary part): the
+    vector is multiplied by ``conj(c) / |c|``.
     """
     v = np.asarray(components, dtype=np.complex128)
     for c in v.tolist():
         if abs(c) > ORTH_TOL:
-            return v * np.exp(-1j * np.arctan2(c.imag, c.real))  # np.angle(c), without its wrapper
+            return v * (c.conjugate() / abs(c))
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
 
-def _null_spaces(
-    groups: Sequence[Sequence[StateVector]], dim: int
-) -> tuple[list[int], np.ndarray]:
-    """The rank of each group and its right-singular vectors, from one stacked SVD.
+def cofactor(rows):
+    """The conjugated cofactor vector of n - 1 rows of n numbers, for n = 2, 3 and 4.
 
-    Group ``i`` spans a subspace of dimension ``ranks[i]``, the number of its
+    Entry j is the conjugate of the cofactor of column j in the n x n matrix
+    whose first n - 1 rows are ``rows``. Expanding the determinant of that
+    matrix with a row repeated shows the vector orthogonal to every row,
+    and by Cauchy-Binet its squared norm is the rows' Gram determinant: zero
+    exactly when they are dependent. Only ``+ - *`` and ``.conjugate()``
+    are used, so the entries may be Python numbers, float64 or complex128
+    arrays (one entry per grid point) or exact rationals. Element-wise
+    float64 products round as Python floats do, so an entry of a float64
+    array is bit-identical to the scalar result. In dimension 4 the six
+    2 x 2 minors of the last two rows are formed once.
+
+    Raises:
+        ValueError: if the rows are not 1 to 3 rows of ``len(rows) + 1`` entries.
+    """
+    n = len(rows) + 1
+    if n not in (2, 3, 4) or any(len(row) != n for row in rows):
+        raise ValueError(f"need 1 to 3 rows of one more entry each, got {len(rows)} rows")
+    if n == 2:
+        ((u0, u1),) = rows
+        return [-u1.conjugate(), u0.conjugate()]
+    if n == 3:
+        (u0, u1, u2), (v0, v1, v2) = rows
+        return [
+            (u1 * v2 - u2 * v1).conjugate(),
+            (u2 * v0 - u0 * v2).conjugate(),
+            (u0 * v1 - u1 * v0).conjugate(),
+        ]
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = rows
+    m01, m02, m03 = v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0
+    m12, m13, m23 = v1 * w2 - v2 * w1, v1 * w3 - v3 * w1, v2 * w3 - v3 * w2
+    return [
+        (u2 * m13 - u1 * m23 - u3 * m12).conjugate(),
+        (u0 * m23 - u2 * m03 + u3 * m02).conjugate(),
+        (u1 * m03 - u0 * m13 - u3 * m01).conjugate(),
+        (u0 * m12 - u1 * m02 + u2 * m01).conjugate(),
+    ]
+
+
+def _require_dim(vectors: Sequence[StateVector], dim: int) -> None:
+    """Raise ``DimensionMismatch`` naming the first input not of dimension ``dim``."""
+    for i, v in enumerate(vectors):
+        if v.dim != dim:
+            raise DimensionMismatch(f"input {i} is of dimension {v.dim}, expected {dim}")
+
+
+def _null_spaces(vectors: Sequence[StateVector], dim: int) -> tuple[int, np.ndarray]:
+    """The rank of the inputs and their right-singular vectors, from one SVD.
+
+    The inputs span a subspace of dimension ``rank``, the number of their
     squared singular values (the Gram eigenvalues, basis-independent) above
-    ``ORTH_TOL``, and rows ``ranks[i]:`` of ``vh[i]`` are an orthonormal basis
-    of its complement. numpy runs LAPACK on each matrix of the stack in turn,
-    so every group gets the bits it would get alone.
-
-    The dimensions are checked once, on the stacked array's last axis; the
-    inputs are walked one by one only to name a wrong one. A rank is counted
-    from the Python floats of ``sv``: ``x * x`` is the IEEE product that
-    ``sv * sv`` takes.
+    ``ORTH_TOL``, and rows ``rank:`` of ``vh`` are an orthonormal basis of
+    its complement. A rank is counted from the Python floats of ``sv``:
+    ``x * x`` is the IEEE product that ``sv * sv`` takes.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
         DegenerateSpan: if some input is not finite.
-        ValueError: if the groups differ in size.
     """
+    _require_dim(vectors, dim)
+    m = np.array([v._components for v in vectors], dtype=np.complex128).reshape(len(vectors), dim)
     try:
-        m = np.array([[v._components for v in group] for group in groups], dtype=np.complex128)
-    except ValueError:  # the inputs differ in dimension, or the groups in size
-        _require_dim(groups, dim)
-        raise
-    if m.shape[-1] != dim:  # also when there is no input, and then nothing is wrong
-        _require_dim(groups, dim)
-    size = len(groups[0]) if groups else 0
-    try:
-        _, sv, vh = np.linalg.svd(m.reshape(len(groups), size, dim))
+        _, sv, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # raised for NaN inputs
         raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    rows = sv.tolist()
-    if math.isnan(sum(map(sum, rows))):  # an infinite input gives NaN singular values
+    values = sv.tolist()
+    if math.isnan(sum(values)):  # an infinite input gives NaN singular values
         raise DegenerateSpan("inputs are not finite")
-    return [sum(x * x > ORTH_TOL for x in row) for row in rows], vh
-
-
-def _require_dim(groups: Sequence[Sequence[StateVector]], dim: int) -> None:
-    """Raise ``DimensionMismatch`` for the first input not of dimension ``dim``."""
-    for group in groups:
-        for v in group:
-            if v.dim != dim:
-                raise DimensionMismatch(f"input of dimension {v.dim}, expected {dim}") from None
-
-
-def orthogonal_complements(
-    groups: Sequence[Sequence[StateVector]], dim: int
-) -> list[StateVector]:
-    """``[orthogonal_complement(group, dim) for group in groups]``, from one stacked SVD.
-
-    The groups must be of one size. The results are bit for bit those of
-    the per-group calls. A stack with one group that the per-group call
-    rejects raises that call's error, with the same message.
-
-    Raises:
-        DimensionMismatch: if any input is not of dimension ``dim``.
-        DegenerateSpan: if some group spans fewer or more than dim - 1
-            dimensions, or some input is not finite.
-        ValueError: if the groups differ in size.
-    """
-    ranks, vh = _null_spaces(groups, dim)
-    for rank in ranks:
-        if rank != dim - 1:
-            raise DegenerateSpan(
-                f"inputs span a subspace of dimension {rank}, expected {dim - 1}"
-            )
-    return [StateVector(canonical_phase(rows[-1])) for rows in vh]
+    return sum(x * x > ORTH_TOL for x in values), vh
 
 
 def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
     """Unit vector orthogonal to every input, canonically phased.
 
-    The inputs must span a (dim - 1)-dimensional subspace so that the
-    complement is unique up to phase; the rank counts squared singular
-    values above ``ORTH_TOL``. The stack of one of ``orthogonal_complements``.
+    Takes exactly dim - 1 inputs, for dim 2, 3 or 4. The complement is
+    their ``cofactor`` vector, divided by its norm and phased by
+    ``canonical_phase``. Its squared norm, the inputs' Gram determinant,
+    must be finite and above ``ORTH_TOL``, so that the inputs span a
+    (dim - 1)-dimensional subspace and the complement is unique up to phase.
 
     Raises:
+        DegenerateSpan: if there are not dim - 1 inputs, or their Gram
+            determinant is not finite or not above ``ORTH_TOL`` (dependent
+            or non-finite inputs).
         DimensionMismatch: if any input is not of dimension ``dim``.
-        DegenerateSpan: if the inputs span fewer or more than dim - 1
-            dimensions (complement not unique, or empty), or are not finite.
+        ValueError: if ``dim`` is not 2, 3 or 4.
     """
-    return orthogonal_complements([list(vectors)], dim)[0]
+    vectors = tuple(vectors)
+    if len(vectors) != dim - 1:
+        raise DegenerateSpan(f"{len(vectors)} inputs given, expected dim - 1 = {dim - 1}")
+    _require_dim(vectors, dim)
+    c = cofactor([v._components.tolist() for v in vectors])
+    gram = sum(z.real * z.real + z.imag * z.imag for z in c)
+    if not ORTH_TOL < gram < math.inf:  # NaN too
+        raise DegenerateSpan(
+            f"inputs have Gram determinant {gram!r}, not a finite value above {ORTH_TOL}"
+        )
+    norm = math.sqrt(gram)
+    return StateVector(canonical_phase([z / norm for z in c]))
 
 
 @dataclass(frozen=True)
@@ -353,5 +374,5 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementCon
             independent.
     """
     vecs = list(vectors)
-    (rank,), (vh,) = _null_spaces([vecs], dim)
+    rank, vh = _null_spaces(vecs, dim)
     return MeasurementContext((*vecs, *(StateVector(canonical_phase(r)) for r in vh[rank:])))

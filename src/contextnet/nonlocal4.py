@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
-from .hilbert import StateVector, basis_vector, tensor
-from .hilbert import orthogonal_complement, orthogonal_complements
+from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
@@ -85,10 +84,11 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     """Construct the full two-qubit scenario from the local parameters.
 
     The relative phase sits on the |0> component of |a| so that
-    |<a|0>|^2 equals a2 exactly. |b> is the complement of |a>; f_NL and
-    N_f are those of b,0  0,b  1,1 and of a,0  0,a  1,1, from one stacked
-    SVD. All three inherit the canonical complement phase. The fixed kets
-    come from ``BASIS`` and ``PRODUCT_BASIS``.
+    |<a|0>|^2 equals a2 exactly. Each derived vector is one
+    ``orthogonal_complement`` call, the normalised, canonically phased
+    cofactor product of its inputs: |b> of |a>, f_NL of b,0  0,b  1,1 and
+    N_f of a,0  0,a  1,1. The fixed kets come from ``BASIS`` and
+    ``PRODUCT_BASIS``.
     """
     a2 = params.a2
     ka = StateVector(
@@ -101,7 +101,8 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     products = (kets[_LEFT, :, None] * kets[_RIGHT, None, :]).reshape(len(_LEFT), 4)
     ka0, k0a, kb0, k0b, kaa = map(StateVector, products)
     k00, k01, k10, k11 = PRODUCT_BASIS
-    f_nl, n_f = orthogonal_complements([[kb0, k0b, k11], [ka0, k0a, k11]], 4)
+    f_nl = orthogonal_complement([kb0, k0b, k11], 4)
+    n_f = orthogonal_complement([ka0, k0a, k11], 4)
     return NonlocalScenario.build(params, (k00, k01, k10, k11, ka0, k0a, kb0, k0b, kaa, f_nl, n_f))
 
 

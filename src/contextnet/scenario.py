@@ -3,8 +3,8 @@
 A scenario module declares its parameters as frozen dataclass fields, its
 outcome labels in a ``LABELS`` table and its relations as rows over
 labelled overlaps. Its builder computes every vector, each derived one with
-the ``orthogonal_complements`` calls it spells out, and hands them to
-``Scenario.build`` in ``LABELS`` order.
+its own ``orthogonal_complement`` call (a cofactor product), and hands them
+to ``Scenario.build`` in ``LABELS`` order.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from contextnet.hilbert import (
     born_probability,
     canonical_phase,
     clamp_probability,
+    cofactor,
     complete_context,
     inner,
     orthogonal_complement,
-    orthogonal_complements,
     tensor,
 )
 
@@ -132,7 +132,6 @@ def _made_vectors():
         "basis_vector": basis_vector(4, 1),
         "tensor": tensor(u, w),
         "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])], 3),
-        "orthogonal_complements": orthogonal_complements([[e0, w], [w, basis_vector(3, 1)]], 3)[1],
         "complete_context": complete_context([w], 3).outcomes[2],
     }
 
@@ -279,14 +278,29 @@ class TestOrthogonalComplement:
         with pytest.raises(DegenerateSpan):
             orthogonal_complement([basis_vector(3, i) for i in range(3)], 3)
 
-    def test_duplicates_spanning_correctly_are_fine(self):
+    def test_duplicates_are_one_input_too_many(self):
+        # exactly dim - 1 inputs: a duplicate that spans correctly is one too many
         e1 = basis_vector(3, 0)
-        out = orthogonal_complement([e1, e1, basis_vector(3, 1)], 3)
-        assert np.allclose(out.components, [0, 0, 1])
+        with pytest.raises(DegenerateSpan, match="^3 inputs given, expected dim - 1 = 2$"):
+            orthogonal_complement([e1, e1, basis_vector(3, 1)], 3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_wrong_input_count_is_named(self, dim):
+        for count in sorted({0, dim - 2, dim, dim + 1}):
+            with pytest.raises(DegenerateSpan, match=f"^{count} inputs given, expected"):
+                orthogonal_complement([basis_vector(dim, i % dim) for i in range(count)], dim)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="^input 0 is of dimension 2, expected 3$"):
             orthogonal_complement([basis_vector(2, 0), basis_vector(3, 0)], 3)
+        with pytest.raises(DimensionMismatch, match="^input 1 is of dimension 4, expected 3$"):
+            orthogonal_complement([basis_vector(3, 0), basis_vector(4, 0)], 3)
+
+    def test_other_dimensions_rejected(self):
+        # the cofactor is written out for dimensions 2 to 4 only
+        for dim in (1, 5):
+            with pytest.raises(ValueError, match="rows"):
+                orthogonal_complement([basis_vector(dim, i) for i in range(dim - 1)], dim)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DegenerateSpan):
@@ -296,6 +310,38 @@ class TestOrthogonalComplement:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DegenerateSpan):
             orthogonal_complement([StateVector([bad, 0.0, 0.0]), basis_vector(3, 1)], 3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    def test_non_finite_component_anywhere_rejected(self, dim, bad):
+        # an infinity must not reach canonical_phase, whose zero-vector error is a ValueError
+        for row in range(dim - 1):
+            for col in range(dim):
+                inputs = [basis_vector(dim, i).components.copy() for i in range(dim - 1)]
+                inputs[row][col] = bad
+                with pytest.raises(DegenerateSpan, match="Gram determinant"):
+                    orthogonal_complement([StateVector(v) for v in inputs], dim)
+
+    def test_gram_determinant_at_the_tolerance_is_rejected(self):
+        # a single input [x, y] of dimension 2 has Gram determinant y * y + x * x
+        x = math.sqrt(ORTH_TOL / 2)
+        assert x * x + x * x == ORTH_TOL
+        with pytest.raises(DegenerateSpan, match="Gram determinant 1e-10,"):
+            orthogonal_complement([StateVector([x, x])], 2)
+        above = math.nextafter(x, 1.0)
+        assert x * x + above * above > ORTH_TOL
+        out = orthogonal_complement([StateVector([x, above])], 2)
+        assert abs(inner(out, _normalized([x, above]))) < 1e-15
+
+    @pytest.mark.parametrize("dim,bad", [
+        (2, "zero"), (3, "zero"), (4, "zero"), (3, "parallel"), (4, "parallel"),
+    ])
+    def test_dependent_inputs_rejected(self, dim, bad):
+        rng = np.random.default_rng([dim, len(bad)])
+        inputs = [StateVector(_random_components(rng, dim, 0)) for _ in range(dim - 1)]
+        inputs[-1] = StateVector(2j * inputs[0].components if bad == "parallel" else np.zeros(dim))
+        with pytest.raises(DegenerateSpan, match="Gram determinant"):
+            orthogonal_complement(inputs, dim)
 
     @given(u=_vectors(3), v=_vectors(3))
     @settings(deadline=None)
@@ -319,6 +365,44 @@ class TestOrthogonalComplement:
         assert np.array_equal(first.components, second.components)
 
 
+class TestCofactor:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_orthogonal_to_every_row_with_the_gram_determinant_as_squared_norm(self, dim):
+        rng = np.random.default_rng([20261019, dim])
+        for _ in range(200):
+            rows = rng.normal(size=(dim - 1, dim)) + 1j * rng.normal(size=(dim - 1, dim))
+            c = np.array(cofactor(rows.tolist()))
+            assert np.abs(rows.conj() @ c).max() < 1e-13
+            gram = np.linalg.det(rows.conj() @ rows.T).real
+            assert np.vdot(c, c).real == pytest.approx(gram, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_on_arrays_each_entry_is_the_scalar_product(self, dim):
+        # one array per matrix entry, as a grid of points would pass them; float64
+        # products round as Python floats do, complex128 ones may differ in the last bit
+        rng = np.random.default_rng([7, dim])
+        real = rng.normal(size=(dim - 1, dim, 50))
+        grid = real + 1j * rng.normal(size=(dim - 1, dim, 50))
+        real_columns = cofactor([list(row) for row in real])
+        columns = cofactor([list(row) for row in grid])
+        for k in range(50):
+            scalars = cofactor(real[:, :, k].tolist())
+            assert [float.hex(float(col[k])) for col in real_columns] == list(map(float.hex, scalars))
+            scalars = cofactor(grid[:, :, k].tolist())
+            assert [complex(col[k]) for col in columns] == pytest.approx(scalars, rel=1e-14)
+
+    def test_real_rows_give_the_cross_product(self):
+        assert cofactor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]) == [-3.0, 6.0, -3.0]
+        assert cofactor([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]) == [
+            0.0, 0.0, 0.0, 1.0,
+        ]
+
+    @pytest.mark.parametrize("rows", [[], [[1.0]], [[1.0, 2.0]] * 2, [[1.0] * 5] * 4])
+    def test_other_shapes_rejected(self, rows):
+        with pytest.raises(ValueError, match="need 1 to 3 rows"):
+            cofactor(rows)
+
+
 #: Components that exercise signed zeros and subnormals.
 SPECIAL_COMPONENTS = (
     0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
@@ -337,101 +421,8 @@ def _random_components(rng, dim, special=0.3):
     return c
 
 
-def _alone_svd_complement(group, dim):
-    """The complement from one SVD of this group alone, spelled out."""
-    m = np.array([v.components for v in group], dtype=np.complex128).reshape(-1, dim)
-    _, _, vh = np.linalg.svd(m)
-    return canonical_phase(vh[-1])
-
-
 class TestStackedBits:
-    """The stacked SVD and the stacked inner products keep every bit of the per-item calls."""
-
-    def _group(self, rng, dim, size):
-        vectors = [StateVector(_random_components(rng, dim)) for _ in range(size)]
-        kind = rng.integers(4)
-        eps = (1e-3, 1e-4, 2e-5, 7e-6)[rng.integers(4)]
-        if kind == 1 and size >= 2:  # two inputs nearly parallel
-            vectors[1] = StateVector(vectors[0].components + eps * _random_components(rng, dim, 0))
-        elif kind == 2:  # one input nearly zero
-            vectors[0] = StateVector(eps * vectors[0].components)
-        return vectors
-
-    def test_stacked_complements_equal_per_group_bytes(self):
-        rng = np.random.default_rng(20261018)
-        outcomes = {"equal": 0, "raised": 0}
-        for dim in (2, 3, 4):
-            for k in (1, 2, 3, 4):
-                for _ in range(60):
-                    size = dim - 1 if rng.random() < 0.8 else int(rng.integers(1, dim + 1))
-                    groups = [self._group(rng, dim, size) for _ in range(k)]
-                    alone, first_error = [], None
-                    for group in groups:
-                        try:
-                            alone.append(orthogonal_complement(group, dim))
-                        except DegenerateSpan as exc:
-                            first_error = first_error or exc
-                    if first_error is not None:
-                        with pytest.raises(DegenerateSpan) as info:
-                            orthogonal_complements(groups, dim)
-                        assert str(info.value) == str(first_error)
-                        outcomes["raised"] += 1
-                        continue
-                    stacked = orthogonal_complements(groups, dim)
-                    assert len(stacked) == k
-                    for group, got, want in zip(groups, stacked, alone):
-                        assert got.components.tobytes() == want.components.tobytes()
-                        reference = _alone_svd_complement(group, dim)
-                        assert got.components.tobytes() == reference.tobytes()
-                    outcomes["equal"] += 1
-        assert outcomes["equal"] > 300 and outcomes["raised"] > 100
-
-    @pytest.mark.parametrize("bad", ["parallel", "zero", "nan", "inf"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_bad_group_anywhere_raises_as_it_does_alone(self, bad, k):
-        rng = np.random.default_rng([k, len(bad)])
-        u = StateVector(_random_components(rng, 3, 0))
-        bad_group = {
-            "parallel": [u, StateVector(2j * u.components)],
-            "zero": [u, StateVector([0.0, -0.0, 0.0])],
-            "nan": [StateVector([math.nan, 0.0, 0.0]), basis_vector(3, 1)],
-            "inf": [StateVector([math.inf, 0.0, 0.0]), basis_vector(3, 1)],
-        }[bad]
-        with pytest.raises(DegenerateSpan) as alone:
-            orthogonal_complement(bad_group, 3)
-        for position in range(k):
-            groups = [[StateVector(_random_components(rng, 3, 0)) for _ in range(2)]
-                      for _ in range(k)]
-            groups[position] = bad_group
-            with pytest.raises(DegenerateSpan) as stacked:
-                orthogonal_complements(groups, 3)
-            assert str(stacked.value) == str(alone.value)
-
-    def test_wrong_dimension_anywhere_raises_as_it_does_alone(self):
-        groups = [
-            [basis_vector(3, 0), basis_vector(3, 1)],
-            [basis_vector(3, 0), basis_vector(2, 1)],
-        ]
-        with pytest.raises(DimensionMismatch) as alone:
-            orthogonal_complement(groups[1], 3)
-        with pytest.raises(DimensionMismatch) as stacked:
-            orthogonal_complements(groups, 3)
-        assert str(stacked.value) == str(alone.value)
-
-    def test_stack_errors_name_the_input_or_the_sizes(self):
-        e = basis_vector
-        # inputs all of one wrong dimension stack; the stack's last axis shows it
-        with pytest.raises(DimensionMismatch, match="^input of dimension 2, expected 3$"):
-            orthogonal_complements([[e(2, 0), e(2, 1)], [e(2, 0), e(2, 1)]], 3)
-        # groups of two sizes do not stack: a wrong dimension is still named
-        with pytest.raises(DimensionMismatch, match="^input of dimension 2, expected 3$"):
-            orthogonal_complements([[e(3, 0), e(3, 1)], [e(2, 1)]], 3)
-        # and with none, numpy's error stands
-        with pytest.raises(ValueError):
-            orthogonal_complements([[e(3, 0), e(3, 1)], [e(3, 2)]], 3)
-
-    def test_empty_stack(self):
-        assert orthogonal_complements([], 3) == []
+    """The stacked inner products keep every bit of the per-pair calls."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_inner_pairs_equal_inner_bit_for_bit(self, dim):
@@ -471,13 +462,13 @@ class TestCanonicalPhase:
         with pytest.raises(ValueError):
             canonical_phase(np.zeros(3, dtype=complex))
 
-    def test_bits_equal_the_np_angle_form(self):
+    def test_bits_equal_the_conjugate_over_modulus_form(self):
         rng = np.random.default_rng(7)
         for _ in range(2000):
             c = _random_components(rng, int(rng.integers(1, 5)), special=0.4)
-            first = next((x for x in c if abs(x) > ORTH_TOL), None)
+            first = next((x for x in c.tolist() if abs(x) > ORTH_TOL), None)
             if first is not None:
-                want = c * np.exp(-1j * np.angle(first))
+                want = c * (first.conjugate() / abs(first))
                 assert canonical_phase(c).tobytes() == want.tobytes()
 
 

@@ -1,12 +1,13 @@
 """The shared scenario core: the built scenarios and a reference for every bit.
 
-The reference functions below repeat, call by call, the arithmetic the
-scenario modules had before their builders stacked their SVDs and their
-reports went through ``Scenario.report``: one SVD of each derived vector's
-inputs alone (``reference_complement``) and one ``inner`` call per overlap
-of a relation row. Built vectors, in ``LABELS`` order, and reports must
-equal them byte for byte, so a change in how the SVDs are stacked or how
-the overlaps are computed cannot move a bit unnoticed.
+The reference functions below spell out, call by call, the arithmetic of
+each builder and report: each derived vector as the conjugated cofactor
+(generalised cross) product of its inputs, from the Laplace expansion,
+normalised and phased by ``conj(c) / |c|`` (``reference_complement``), and
+one ``inner`` call per overlap of a relation row. Built vectors, in
+``LABELS`` order, and reports must equal them byte for byte, so a change in
+how the products are formed or how the overlaps are computed cannot move a
+bit unnoticed.
 """
 
 import cmath
@@ -27,7 +28,7 @@ from contextnet.hilbert import (
     StateVector,
     basis_vector,
     inner,
-    orthogonal_complements,
+    orthogonal_complement,
     tensor,
 )
 from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
@@ -153,10 +154,10 @@ def test_stages_group_derived_by_dependency_and_vectors_keep_labels_order(build,
     s = build(params)
     dim, derived = DERIVED[type(s)]
     assert sorted(label for stage in stages for label in stage) == sorted(derived)
-    # each stage is one stacked SVD over seeds and earlier stages, as the builder makes it
+    # each derived vector is one complement call over seeds and earlier stages
     for stage in stages:
-        groups = [[s.vectors[other] for other in derived[label]] for label in stage]
-        for label, v in zip(stage, orthogonal_complements(groups, dim), strict=True):
+        for label in stage:
+            v = orthogonal_complement([s.vectors[other] for other in derived[label]], dim)
             assert s.vectors[label].components.tobytes() == v.components.tobytes(), label
     # hardy3's f is built last, after N_f, but keeps its LABELS place
     assert list(s.vectors) == list(s.LABELS)
@@ -186,17 +187,45 @@ def make_points(seed, n):
 
 
 def reference_complement(vectors, dim):
-    """The complement as one SVD of these inputs alone: the last right-singular row, phased.
+    """The complement of dim - 1 inputs as their conjugated cofactor vector, spelled out.
 
-    The phase canon is spelled out too: the first component above
-    ``ORTH_TOL`` is rotated by ``np.exp(-1j * np.angle(c))``.
+    Entry j is the conjugated cofactor of column j in the matrix whose first
+    rows are the inputs: -b, a in dimension 2; the cross product in
+    dimension 3; in dimension 4, the Laplace expansion along the first
+    input over the other columns a < b < c, u_a m_bc - u_b m_ac + u_c m_ab
+    with m the 2 x 2 minors of the other two inputs, its first two terms
+    swapped where the cofactor's sign is negative. The vector is divided by
+    its norm, and the first component c above ``ORTH_TOL`` rotated by
+    ``conj(c) / |c|``.
     """
-    m = np.array([v.components for v in vectors], dtype=np.complex128).reshape(-1, dim)
-    _, sv, vh = np.linalg.svd(m)
-    assert np.count_nonzero(sv * sv > ORTH_TOL) == dim - 1
-    row = vh[-1]
-    c = next(c for c in row if abs(c) > ORTH_TOL)
-    return StateVector(row * np.exp(-1j * np.angle(c)))
+    rows = [v.components.tolist() for v in vectors]
+    assert len(rows) == dim - 1 and {len(row) for row in rows} == {dim}
+    if dim == 2:
+        ((a, b),) = rows
+        c = [-b, a]
+    elif dim == 3:
+        u, v = rows
+        c = [u[j] * v[k] - u[k] * v[j] for j, k in ((1, 2), (2, 0), (0, 1))]
+    else:
+        u, v, w = rows
+
+        def m(j, k):
+            return v[j] * w[k] - v[k] * w[j]
+
+        c = []
+        for j in range(4):
+            a, b, col = (x for x in range(4) if x != j)
+            if j % 2:  # sign (-1) ** (j + 3) is +1
+                c.append(u[a] * m(b, col) - u[b] * m(a, col) + u[col] * m(a, b))
+            else:
+                c.append(u[b] * m(a, col) - u[a] * m(b, col) - u[col] * m(a, b))
+    c = [z.conjugate() for z in c]
+    gram = sum(z.real * z.real + z.imag * z.imag for z in c)
+    assert ORTH_TOL < gram < math.inf
+    norm = math.sqrt(gram)
+    c = [z / norm for z in c]
+    first = next(z for z in c if abs(z) > ORTH_TOL)
+    return StateVector(np.array(c) * (first.conjugate() / abs(first)))
 
 
 def reference_hardy(p):
@@ -308,6 +337,22 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
             assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
         got = json.dumps(hex_floats(report_to_json(report(s))))
         assert got == json.dumps(hex_floats(report_to_json(expected))), p
+
+
+def test_near_boundary_residuals_stay_at_rounding_level():
+    # The 1e-10 gate does not move; this pins how far below it the cofactor
+    # products stay where alpha, beta or a2 approach 1 (the SVD reached 4.4e-12).
+    points = make_points(2024, 20000)
+    near = points[0::10] + points[1::10]  # every fifth point of each scenario
+    near += [ScenarioParams(0.999999999, 0.999999999), LocalParams(0.999999999)]
+    worst = 0.0
+    for p in near:
+        if isinstance(p, ScenarioParams):
+            report = verify_hardy(build_scenario(p))
+        else:
+            report = verify_nonlocal(build_nonlocal(p))
+        worst = nan_max((worst, report.max_residual()))
+    assert worst < 1e-14
 
 
 @pytest.mark.parametrize("residuals", [(1e-16, math.nan), (math.nan, 1e-16), (0.0, math.nan, 1.0)])
