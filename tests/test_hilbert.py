@@ -278,8 +278,9 @@ class TestOrthogonalComplement:
         with pytest.raises(DegenerateSpan):
             orthogonal_complement([basis_vector(3, i) for i in range(3)], 3)
 
-    def test_duplicates_are_one_input_too_many(self):
-        # exactly dim - 1 inputs: a duplicate that spans correctly is one too many
+    def test_duplicates_spanning_correctly_are_fine(self):
+        # no longer fine: exactly dim - 1 inputs, so a duplicate that spans
+        # correctly is one input too many
         e1 = basis_vector(3, 0)
         with pytest.raises(DegenerateSpan, match="^3 inputs given, expected dim - 1 = 2$"):
             orthogonal_complement([e1, e1, basis_vector(3, 1)], 3)
@@ -422,7 +423,41 @@ def _random_components(rng, dim, special=0.3):
 
 
 class TestStackedBits:
-    """The stacked inner products keep every bit of the per-pair calls."""
+    """Stacked passes keep what the per-item calls give.
+
+    ``InnerPairs`` keeps every bit of ``inner``; ``cofactor`` over arrays
+    (one array per matrix entry, a group per column) keeps each group's
+    column, so a bad group is flagged wherever it sits in the stack.
+    """
+
+    @pytest.mark.parametrize("bad", ["parallel", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bad_group_anywhere_raises_as_it_does_alone(self, bad, k):
+        rng = np.random.default_rng([k, len(bad)])
+        u = StateVector(_random_components(rng, 3, 0))
+        bad_group = {
+            "parallel": [u, StateVector(2j * u.components)],
+            "zero": [u, StateVector([0.0, -0.0, 0.0])],
+            "nan": [StateVector([math.nan, 0.0, 0.0]), basis_vector(3, 1)],
+            "inf": [StateVector([math.inf, 0.0, 0.0]), basis_vector(3, 1)],
+        }[bad]
+        with pytest.raises(DegenerateSpan, match="Gram determinant"):
+            orthogonal_complement(bad_group, 3)
+        for position in range(k):
+            groups = [[StateVector(_random_components(rng, 3, 0)) for _ in range(2)]
+                      for _ in range(k)]
+            groups[position] = bad_group
+            entries = np.array([[v.components for v in group] for group in groups])
+            with np.errstate(invalid="ignore"):  # inf * 0 in a bad column is NaN, as alone
+                columns = np.array(cofactor([list(r) for r in np.moveaxis(entries, 0, -1)]))
+                gram = (columns.real * columns.real + columns.imag * columns.imag).sum(axis=0)
+            for i, group in enumerate(groups):
+                # the same Gram determinant rule that orthogonal_complement applies
+                assert (ORTH_TOL < gram[i] < math.inf) == (i != position)
+                if i != position:
+                    alone = cofactor([v.components.tolist() for v in group])
+                    assert columns[:, i].tolist() == pytest.approx(alone, rel=1e-14)
+                    orthogonal_complement(group, 3)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_inner_pairs_equal_inner_bit_for_bit(self, dim):
