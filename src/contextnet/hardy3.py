@@ -29,10 +29,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, orthogonal_complement
+from .hilbert import StateVector, basis_vector, orthogonal_complement, squared_norm
 from .report import RelationReport
 from .scenario import Params, Scenario
 
@@ -89,11 +87,11 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     """
     a, b = params.alpha, params.beta
     k1, k2, k3 = BASIS
-    d1 = StateVector(
-        [0.0, math.sqrt(1.0 - a), cmath.exp(1j * params.phase_d1) * math.sqrt(a)]
+    d1 = StateVector._of(
+        (0j, complex(math.sqrt(1.0 - a)), cmath.exp(1j * params.phase_d1) * math.sqrt(a))
     )
-    d2 = StateVector(
-        [math.sqrt(1.0 - b), 0.0, cmath.exp(1j * params.phase_d2) * math.sqrt(b)]
+    d2 = StateVector._of(
+        (complex(math.sqrt(1.0 - b)), 0j, cmath.exp(1j * params.phase_d2) * math.sqrt(b))
     )
     s1 = orthogonal_complement([k1, d1], 3)
     s2 = orthogonal_complement([k2, d2], 3)
@@ -162,14 +160,12 @@ def verify_all(s: HardyScenario) -> RelationReport:
     a, b = s.params.alpha, s.params.beta
     nf3 = _nf3(a, b)
     o = s.overlaps()
-    f_expansion = s.f.components - (
-        s.d1.components * o["D1", "f"]
-        + s.d2.components * o["D2", "f"]
-        - s.k3.components * o["3", "f"]
-    )
+    c1, c2, c3 = o["D1", "f"], o["D2", "f"], o["3", "f"]
+    columns = (v._components for v in (s.f, s.d1, s.d2, s.k3))
+    f_expansion = [f - (d1 * c1 + d2 * c2 - k3 * c3) for f, d1, d2, k3 in zip(*columns)]
     return s.report(
         ("eq3", o["D1", "3"] * o["3", "D2"], o["D1", "D2"]),
-        ("eq6", 0.0, float(np.linalg.norm(f_expansion))),
+        ("eq6", 0.0, math.sqrt(squared_norm(f_expansion))),
         ("eq9", -o["f", "3"] * o["3", "N_f"], o["f", "N_f"]),
         ("eq10a", -o["D2", "3"] * o["3", "N_f"], o["D2", "1"] * o["1", "N_f"]),
         ("eq10b", -o["D1", "3"] * o["3", "N_f"], o["D1", "2"] * o["2", "N_f"]),

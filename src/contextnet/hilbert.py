@@ -10,6 +10,16 @@ Everything operates on immutable complex vectors in fixed finite dimension
   ``MeasurementContext``, which ``complete_context`` returns,
 * ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
+The arithmetic on vectors is Python's: a ``StateVector`` holds a tuple of
+Python ``complex``, and ``inner``, ``tensor``, ``cofactor``,
+``orthogonal_complement``, ``canonical_phase`` and every norm are IEEE
+``+ - * /`` on them, each sum added left to right (``sum`` of floats rounds
+differently from Python 3.12 on). No numpy or BLAS kernel, whose SIMD and
+FMA paths depend on the host, touches a vector on its way from parameters to
+report, so the bits are the same on every host. numpy stays where it is the
+interface or has no small equivalent: the array-like constructor, the
+read-only ``components`` array and ``repr``, and ``complete_context``'s SVD.
+
 The vector orthogonal to dim - 1 given ones, which fixes each derived
 outcome, is their ``cofactor`` product, written out over numbers; only
 ``complete_context``, whose completion of a basis has no unique answer,
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,38 +57,51 @@ class StateVector:
     """Immutable complex vector of fixed finite dimension.
 
     Represents either a measurement outcome or a prepared state. The
-    components are copied on construction, flattened, into an immutable
-    ``bytes`` buffer: the array over it is read-only, and numpy refuses to
-    make it writable again, so the norm is computed once, on first use, and
-    kept.
+    constructor flattens any array-like input and keeps its components
+    once, as a tuple of Python ``complex``, on which all of ``hilbert``'s
+    arithmetic runs; the builders pass a ready tuple to ``_of``. Nothing
+    can change the tuple, so the norm is computed once, on first use, and
+    kept. ``components`` is a read-only complex128 array over an immutable
+    ``bytes`` copy of the tuple, made on first access and kept; numpy
+    refuses to make it writable again.
     """
 
-    __slots__ = ("_components", "_norm")
+    __slots__ = ("_components", "_array", "_norm")
 
     def __init__(self, components) -> None:
-        v = np.frombuffer(np.asarray(components, np.complex128).tobytes(), np.complex128)
-        if v.size == 0:
+        c = tuple(np.asarray(components, np.complex128).reshape(-1).tolist())
+        if not c:
             raise ValueError("a state vector needs at least one component")
-        self._components = v
+        self._components = c
+        self._array = None
         self._norm = None
 
+    @classmethod
+    def _of(cls, c: tuple[complex, ...]) -> "StateVector":
+        """The vector of a ready, non-empty tuple of Python ``complex``, kept as given."""
+        v = object.__new__(cls)
+        v._components, v._array, v._norm = c, None, None
+        return v
+
     def __reduce__(self):
-        # pickle, copy and deepcopy rebuild through the constructor, which
-        # copies into a fresh immutable buffer
+        # pickle, copy and deepcopy rebuild through the constructor
         return type(self), (self._components,)
 
     @property
     def components(self) -> np.ndarray:
         """Read-only component array (complex128)."""
-        return self._components
+        if self._array is None:
+            buffer = np.array(self._components, np.complex128).tobytes()
+            self._array = np.frombuffer(buffer, np.complex128)
+        return self._array
 
     @property
     def dim(self) -> int:
-        return int(self._components.size)
+        return len(self._components)
 
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = float(np.linalg.norm(self._components))
+            self._norm = math.sqrt(squared_norm(self._components))
         return self._norm
 
     def is_normalized(self) -> bool:
@@ -87,17 +110,29 @@ class StateVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self._components.shape == other._components.shape and bool(
-            np.array_equal(self._components, other._components)
-        )
+        # element by element: a tuple compares identical objects as equal, NaN too
+        a, b = self._components, other._components
+        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
     def __hash__(self) -> int:
-        # Adding 0.0 turns every -0.0 into 0.0, so vectors that are == hash alike.
-        return hash((self._components + 0.0).tobytes())
+        # complex hashing maps -0.0 to 0.0, so vectors that are == hash alike
+        return hash(self._components)
 
     def __repr__(self) -> str:
-        body = np.array2string(self._components, separator=", ", precision=8)
+        body = np.array2string(self.components, separator=", ", precision=8)
         return f"StateVector({body})"
+
+
+def squared_norm(zs: Iterable[complex]) -> float:
+    """The sum of |z|^2 over ``zs``, each term re^2 + im^2, added left to right.
+
+    Written as a ``+`` chain rather than ``sum``, which adds floats with
+    compensation from Python 3.12 on and so gives other bits there.
+    """
+    total = 0.0
+    for z in zs:
+        total += z.real * z.real + z.imag * z.imag
+    return total
 
 
 def basis_vector(dim: int, index: int) -> StateVector:
@@ -111,61 +146,36 @@ def basis_vector(dim: int, index: int) -> StateVector:
         raise ValueError(f"dimension {dim!r} is not an integer >= 1")
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
         raise ValueError(f"basis index {index!r} is not an integer in [0, {dim})")
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return StateVector(v)
+    c = [0j] * dim
+    c[index] = 1 + 0j
+    return StateVector._of(tuple(c))
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
     """Inner product, conjugate-linear in the first argument.
 
-    ``inner(u, v)`` equals ``sum(conj(u_i) * v_i)`` and satisfies
-    ``inner(u, v) == conj(inner(v, u))``.
+    ``inner(u, v)`` is ``conj(u_0) * v_0 + conj(u_1) * v_1 + ...``, added
+    left to right, and satisfies ``inner(u, v) == conj(inner(v, u))``.
 
     Raises:
         DimensionMismatch: if the dimensions differ.
     """
     a, b = u._components, v._components
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimensions differ: {a.size} vs {b.size}")
-    return complex(np.vdot(a, b))
-
-
-class InnerPairs:
-    """The inner products of a fixed list of keyed pairs, from one stacked pass.
-
-    ``InnerPairs(pairs)(vectors)`` is ``[inner(vectors[x], vectors[y]) for
-    x, y in pairs]``, bit for bit: one ``np.matmul`` of the conjugated left
-    rows with the right columns computes each entry as the same dot product
-    ``np.vdot`` does (``einsum`` and ``.sum`` add in other orders, so their
-    bits differ). The rows each key gathers are fixed at construction.
-    """
-
-    __slots__ = ("pairs", "_keys", "_left", "_right")
-
-    def __init__(self, pairs: Sequence[tuple[Hashable, Hashable]]) -> None:
-        self.pairs = tuple(pairs)
-        self._keys = tuple(dict.fromkeys(key for pair in self.pairs for key in pair))
-        row = {key: i for i, key in enumerate(self._keys)}
-        self._left, self._right = (
-            np.array([row[pair[side]] for pair in self.pairs], dtype=np.intp) for side in (0, 1)
+    n = len(a)
+    if n != len(b):
+        raise DimensionMismatch(f"dimensions differ: {n} vs {len(b)}")
+    # the scenarios' dimensions written out, which saves the loop's overhead
+    if n == 3:
+        return a[0].conjugate() * b[0] + a[1].conjugate() * b[1] + a[2].conjugate() * b[2]
+    if n == 4:
+        return (
+            a[0].conjugate() * b[0] + a[1].conjugate() * b[1]
+            + a[2].conjugate() * b[2] + a[3].conjugate() * b[3]
         )
-
-    def __call__(self, vectors: Mapping[Hashable, StateVector]) -> list[complex]:
-        """The inner product of each pair's vectors, in pair order.
-
-        Raises:
-            DimensionMismatch: if the paired vectors differ in dimension.
-        """
-        if not self.pairs:
-            return []
-        try:
-            m = np.array([vectors[key]._components for key in self._keys])
-        except ValueError:  # numpy stacks only vectors of one length
-            dims = sorted({vectors[key].dim for key in self._keys})
-            raise DimensionMismatch(f"dimensions differ: {dims}") from None
-        products = np.matmul(m.conj()[self._left, None, :], m[self._right, :, None])
-        return products.reshape(-1).tolist()
+    total = a[0].conjugate() * b[0]
+    for i in range(1, n):
+        total += a[i].conjugate() * b[i]
+    return total
 
 
 def clamp_probability(value: float) -> float:
@@ -204,23 +214,22 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     first factor indexes the slower axis. Inner products factorize:
     ``inner(tensor(a, b), tensor(c, d)) == inner(a, c) * inner(b, d)``.
 
-    Computed as a broadcast outer product: the same element-wise complex
-    multiply as ``np.kron``, so the same bits, without its per-call overhead.
+    Each component is one Python complex product ``u_i * v_j``.
     """
-    return StateVector((u._components[:, None] * v._components).reshape(-1))
+    return StateVector._of(tuple([x * y for x in u._components for y in v._components]))
 
 
-def canonical_phase(components: np.ndarray) -> np.ndarray:
+def canonical_phase(components: Sequence[complex]) -> tuple[complex, ...]:
     """Rotate a vector's global phase to the canonical choice.
 
     The first component c with magnitude above ``ORTH_TOL`` becomes real and
-    positive (up to double-precision rounding in its imaginary part): the
-    vector is multiplied by ``conj(c) / |c|``.
+    positive (up to double-precision rounding in its imaginary part): each
+    Python complex component is multiplied by ``conj(c) / |c|``.
     """
-    v = np.asarray(components, dtype=np.complex128)
-    for c in v.tolist():
+    for c in components:
         if abs(c) > ORTH_TOL:
-            return v * (c.conjugate() / abs(c))
+            phase = c.conjugate() / abs(c)
+            return tuple([z * phase for z in components])
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
 
@@ -286,7 +295,7 @@ def _null_spaces(vectors: Sequence[StateVector], dim: int) -> tuple[int, np.ndar
         DegenerateSpan: if some input is not finite.
     """
     _require_dim(vectors, dim)
-    m = np.array([v._components for v in vectors], dtype=np.complex128).reshape(len(vectors), dim)
+    m = np.array([v._components for v in vectors], np.complex128).reshape(len(vectors), dim)
     try:
         _, sv, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # raised for NaN inputs
@@ -317,14 +326,14 @@ def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVect
     if len(vectors) != dim - 1:
         raise DegenerateSpan(f"{len(vectors)} inputs given, expected dim - 1 = {dim - 1}")
     _require_dim(vectors, dim)
-    c = cofactor([v._components.tolist() for v in vectors])
-    gram = sum(z.real * z.real + z.imag * z.imag for z in c)
+    c = cofactor([v._components for v in vectors])
+    gram = squared_norm(c)
     if not ORTH_TOL < gram < math.inf:  # NaN too
         raise DegenerateSpan(
             f"inputs have Gram determinant {gram!r}, not a finite value above {ORTH_TOL}"
         )
     norm = math.sqrt(gram)
-    return StateVector(canonical_phase([z / norm for z in c]))
+    return StateVector._of(canonical_phase([z / norm for z in c]))
 
 
 @dataclass(frozen=True)
@@ -375,4 +384,5 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementCon
     """
     vecs = list(vectors)
     rank, vh = _null_spaces(vecs, dim)
-    return MeasurementContext((*vecs, *(StateVector(canonical_phase(r)) for r in vh[rank:])))
+    completion = (StateVector._of(canonical_phase(row)) for row in vh[rank:].tolist())
+    return MeasurementContext((*vecs, *completion))

@@ -35,12 +35,12 @@ Four diagrams are built in:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingAssignment
-from .hilbert import ORTH_TOL, InnerPairs, StateVector
+from .hilbert import ORTH_TOL, StateVector, inner
 
 Pair = tuple[str, str]
 
@@ -62,14 +62,12 @@ class ContextNetwork:
     Nodes may be given in any sequence and are stored as a tuple. Pairs may
     be given in any order and container; construction stores each set once,
     as the sorted tuple of sorted pairs that validation and serialization
-    walk. ``pair_inner`` computes the overlaps of both tuples, edges first,
-    in one stacked pass.
+    walk.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[Pair, ...]
     required_non_edges: tuple[Pair, ...] = ()
-    pair_inner: InnerPairs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -84,7 +82,6 @@ class ContextNetwork:
         overlap = set(self.edges) & set(self.required_non_edges)
         if overlap:
             raise ValueError(f"pairs marked both orthogonal and non-orthogonal: {sorted(overlap)}")
-        object.__setattr__(self, "pair_inner", InnerPairs(self.edges + self.required_non_edges))
 
 
 @dataclass(frozen=True)
@@ -169,19 +166,14 @@ def validate_realization(
     if len(dims) > 1:
         raise DimensionMismatch(f"assignment mixes dimensions {sorted(dims)}")
 
-    # abs of each Python complex, as abs(inner(...)) takes it: np.abs of the
-    # complex array can differ from it in the last bit.
-    overlaps = [abs(z) for z in net.pair_inner(assignment)]
-    edges = net.edges
+    def overlaps(pairs):
+        return [(pair, abs(inner(assignment[pair[0]], assignment[pair[1]]))) for pair in pairs]
+
     # Written as "not below" and "not at or above", so a NaN overlap breaks both.
-    violations = [
-        Violation("edge", pair, overlap)
-        for pair, overlap in zip(edges, overlaps) if not overlap < ORTH_TOL
-    ]
+    violations = [Violation("edge", p, o) for p, o in overlaps(net.edges) if not o < ORTH_TOL]
     violations += [
-        Violation("non_edge", pair, overlap)
-        for pair, overlap in zip(net.required_non_edges, overlaps[len(edges):])
-        if not overlap >= ORTH_TOL
+        Violation("non_edge", p, o)
+        for p, o in overlaps(net.required_non_edges) if not o >= ORTH_TOL
     ]
     return violations
 

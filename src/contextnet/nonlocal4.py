@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
-from .hilbert import StateVector, basis_vector, orthogonal_complement, tensor
+from .hilbert import StateVector, basis_vector, orthogonal_complement, squared_norm, tensor
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
@@ -43,11 +43,6 @@ from .scenario import Params, Scenario
 #: product-basis order, shared by every built scenario (read-only).
 BASIS = (basis_vector(2, 0), basis_vector(2, 1))
 PRODUCT_BASIS = tuple(tensor(u, v) for u in BASIS for v in BASIS)
-
-
-#: The rows of the left and right factors, in the stack (|0>, a, b), of the
-#: products a,0  0,a  b,0  0,b  a,a that ``build_nonlocal`` forms.
-_LEFT, _RIGHT = np.array([[1, 0], [0, 1], [2, 0], [0, 2], [1, 1]]).T
 
 
 @dataclass(frozen=True)
@@ -87,19 +82,18 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     |<a|0>|^2 equals a2 exactly. Each derived vector is one
     ``orthogonal_complement`` call, the normalised, canonically phased
     cofactor product of its inputs: |b> of |a>, f_NL of b,0  0,b  1,1 and
-    N_f of a,0  0,a  1,1. The fixed kets come from ``BASIS`` and
+    N_f of a,0  0,a  1,1. The products a,0  0,a  b,0  0,b  a,a are one
+    ``tensor`` call each, and the fixed kets come from ``BASIS`` and
     ``PRODUCT_BASIS``.
     """
     a2 = params.a2
-    ka = StateVector(
-        [cmath.exp(1j * params.phase_a) * math.sqrt(a2), math.sqrt(1.0 - a2)]
+    ka = StateVector._of(
+        (cmath.exp(1j * params.phase_a) * math.sqrt(a2), complex(math.sqrt(1.0 - a2)))
     )
     kb = orthogonal_complement([ka], 2)
-    kets = np.array([BASIS[0]._components, ka._components, kb._components])
-    # Row k is tensor(left ket k, right ket k): one broadcast multiply, the same
-    # element-wise products as the five separate calls.
-    products = (kets[_LEFT, :, None] * kets[_RIGHT, None, :]).reshape(len(_LEFT), 4)
-    ka0, k0a, kb0, k0b, kaa = map(StateVector, products)
+    k0 = BASIS[0]
+    ka0, k0a, kb0, k0b = tensor(ka, k0), tensor(k0, ka), tensor(kb, k0), tensor(k0, kb)
+    kaa = tensor(ka, ka)
     k00, k01, k10, k11 = PRODUCT_BASIS
     f_nl = orthogonal_complement([kb0, k0b, k11], 4)
     n_f = orthogonal_complement([ka0, k0a, k11], 4)
@@ -170,13 +164,13 @@ def verify_all(s: NonlocalScenario) -> RelationReport:
     """Check the product-space identities against the raw vectors."""
     a2 = s.params.a2
     o = s.overlaps()
-    aa_expansion = s.kaa.components - (
-        s.f_nl.components * o["f_NL", "a,a"] + s.k11.components * o["1,1", "a,a"]
-    )
+    c1, c2 = o["f_NL", "a,a"], o["1,1", "a,a"]
+    columns = (v._components for v in (s.kaa, s.f_nl, s.k11))
+    aa_expansion = [aa - (f * c1 + k11 * c2) for aa, f, k11 in zip(*columns)]
     aa_factorization = abs(o["a,a", "N_f"] - o["a,a", "f_NL"] * o["f_NL", "N_f"])
     return s.report(
         ("eq17", _fnl_nf(a2), abs(o["f_NL", "N_f"]) ** 2),
-        ("eq18", 0.0, nan_max((float(np.linalg.norm(aa_expansion)), aa_factorization))),
+        ("eq18", 0.0, nan_max((math.sqrt(squared_norm(aa_expansion)), aa_factorization))),
         ("eq19", _faa(a2), abs(o["f_NL", "a,a"]) ** 2),
         ("eq20", o["a,a", "f_NL"] * o["f_NL", "N_f"], o["a,a", "N_f"]),
         ("eq21", _aa_nf(a2), abs(o["a,a", "N_f"]) ** 2),

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
 from .errors import OutOfDomain, require_interior
-from .hilbert import InnerPairs, StateVector
+from .hilbert import StateVector, inner
 from .report import Relation, RelationReport, Scalar
 
 
@@ -101,7 +101,6 @@ class Scenario:
     LABELS: ClassVar[Mapping[str, str]]
     OVERLAPS: ClassVar[tuple[tuple[str, str], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
-    _inner_pairs: ClassVar[InnerPairs]  # the stacked pass over OVERLAPS
 
     params: Params
     vectors: Mapping[str, StateVector] = field(hash=False)
@@ -110,7 +109,6 @@ class Scenario:
         super().__init_subclass__(**kwargs)
         for label, attr in cls.LABELS.items():
             setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
-        cls._inner_pairs = InnerPairs(cls.OVERLAPS)
 
     # A mappingproxy does not pickle, so pickle and deepcopy carry a plain dict.
     def __getstate__(self) -> dict:
@@ -133,12 +131,13 @@ class Scenario:
         return self.vectors
 
     def overlaps(self) -> dict[tuple[str, str], complex]:
-        """``o[x, y]`` = <x|y> for every pair of ``OVERLAPS``, from one stacked pass.
+        """``o[x, y]`` = ``inner(x, y)`` for every pair of ``OVERLAPS``, in order.
 
         A pair that ``OVERLAPS`` does not list is a ``KeyError``; ``o[y, x]``
         is an entry of its own.
         """
-        return dict(zip(self.OVERLAPS, self._inner_pairs(self.vectors)))
+        v = self.vectors
+        return {pair: inner(v[pair[0]], v[pair[1]]) for pair in self.OVERLAPS}
 
     def report(self, *rows: tuple[str, Scalar, Scalar]) -> RelationReport:
         """The report of ``(id, formula value, direct value)`` rows, in order."""

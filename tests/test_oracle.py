@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from contextnet import hilbert
 from contextnet.errors import (
     DimensionMismatch,
     EmptyTrials,
@@ -215,8 +216,8 @@ class TestSampleContext:
 def test_estimate_computes_each_vector_norm_once(monkeypatch):
     s = build_scenario(ScenarioParams(0.3, 0.6, 0.4, 1.9))
     calls = []
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(x) or norm(x))
+    squared_norm = hilbert.squared_norm
+    monkeypatch.setattr(hilbert, "squared_norm", lambda x: calls.append(x) or squared_norm(x))
     estimate(s, seed=3, trials=1000)
     # N_f, f and the two outcomes that complete f's context; each check reads the kept norm
     assert len(calls) == 4

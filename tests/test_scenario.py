@@ -1,26 +1,33 @@
 """The shared scenario core: the built scenarios and a reference for every bit.
 
 The reference functions below spell out, call by call, the arithmetic of
-each builder and report: each derived vector as the conjugated cofactor
-(generalised cross) product of its inputs, from the Laplace expansion,
-normalised and phased by ``conj(c) / |c|`` (``reference_complement``), and
-one ``inner`` call per overlap of a relation row. Built vectors, in
-``LABELS`` order, and reports must equal them byte for byte, so a change in
-how the products are formed or how the overlaps are computed cannot move a
-bit unnoticed.
+each builder and report in Python complex arithmetic: each derived vector
+as the conjugated cofactor (generalised cross) product of its inputs, from
+the Laplace expansion, normalised and phased by ``conj(c) / |c|``
+(``reference_complement``), each norm the square root of a left-to-right
+sum, and one ``inner`` call per overlap of a relation row. Built vectors,
+in ``LABELS`` order, and reports must equal them byte for byte, so a change
+in how the products are formed or how the overlaps are computed cannot move
+a bit unnoticed.
 """
 
 import cmath
 import copy
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import contextnet
+from contextnet import hardy3, hilbert, network, nonlocal4, report, scenario
 from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
 from contextnet.hardy3 import verify_all as verify_hardy
 from contextnet.hilbert import (
@@ -186,6 +193,14 @@ def make_points(seed, n):
     return points
 
 
+def reference_squared_norm(zs):
+    """|z_0|^2 + |z_1|^2 + ..., added left to right, never by ``sum``."""
+    total = 0.0
+    for z in zs:
+        total = total + (z.real * z.real + z.imag * z.imag)
+    return total
+
+
 def reference_complement(vectors, dim):
     """The complement of dim - 1 inputs as their conjugated cofactor vector, spelled out.
 
@@ -196,7 +211,7 @@ def reference_complement(vectors, dim):
     with m the 2 x 2 minors of the other two inputs, its first two terms
     swapped where the cofactor's sign is negative. The vector is divided by
     its norm, and the first component c above ``ORTH_TOL`` rotated by
-    ``conj(c) / |c|``.
+    ``conj(c) / |c|``, each a Python complex operation.
     """
     rows = [v.components.tolist() for v in vectors]
     assert len(rows) == dim - 1 and {len(row) for row in rows} == {dim}
@@ -220,12 +235,13 @@ def reference_complement(vectors, dim):
             else:
                 c.append(u[b] * m(a, col) - u[a] * m(b, col) - u[col] * m(a, b))
     c = [z.conjugate() for z in c]
-    gram = sum(z.real * z.real + z.imag * z.imag for z in c)
+    gram = reference_squared_norm(c)
     assert ORTH_TOL < gram < math.inf
     norm = math.sqrt(gram)
     c = [z / norm for z in c]
     first = next(z for z in c if abs(z) > ORTH_TOL)
-    return StateVector(np.array(c) * (first.conjugate() / abs(first)))
+    phase = first.conjugate() / abs(first)
+    return StateVector([z * phase for z in c])
 
 
 def reference_hardy(p):
@@ -246,10 +262,11 @@ def reference_hardy(p):
     paradox = (a * b / ((1.0 - a) + a * (1.0 - b))) * (
         (1.0 - a) * (1.0 - b) / (a + b * (1.0 - a))
     )
-    expansion = float(np.linalg.norm(f.components - (
-        d1.components * inner(d1, f) + d2.components * inner(d2, f)
-        - k3.components * inner(k3, f)
-    )))
+    c1, c2, c3 = inner(d1, f), inner(d2, f), inner(k3, f)
+    expansion = math.sqrt(reference_squared_norm(
+        fi - (d1i * c1 + d2i * c2 - k3i * c3)
+        for fi, d1i, d2i, k3i in zip(*(v.components.tolist() for v in (f, d1, d2, k3)))
+    ))
     rows = [
         ("eq3", inner(d1, k3) * inner(k3, d2), inner(d1, d2)),
         ("eq6", 0.0, expansion),
@@ -290,9 +307,11 @@ def reference_nonlocal(p):
         "a,a": kaa, "f_NL": f_nl, "N_f": n_f,
     }
 
-    expansion = float(np.linalg.norm(kaa.components - (
-        f_nl.components * inner(f_nl, kaa) + k11.components * inner(k11, kaa)
-    )))
+    c1, c2 = inner(f_nl, kaa), inner(k11, kaa)
+    expansion = math.sqrt(reference_squared_norm(
+        aa - (fi * c1 + k11i * c2)
+        for aa, fi, k11i in zip(*(v.components.tolist() for v in (kaa, f_nl, k11)))
+    ))
     factorization = abs(inner(kaa, n_f) - inner(kaa, f_nl) * inner(f_nl, n_f))
     rows = [
         ("eq17", (x * x / (1.0 + x)) * ((1.0 - x) / (x * (2.0 - x))),
@@ -353,6 +372,105 @@ def test_near_boundary_residuals_stay_at_rounding_level():
             report = verify_nonlocal(build_nonlocal(p))
         worst = nan_max((worst, report.max_residual()))
     assert worst < 1e-14
+
+
+def test_gram_sums_do_not_depend_on_the_python_version():
+    # N_f of D1 and D2 at alpha = 0.2, beta = 0.7 is a row where the Gram
+    # determinant added left to right and the compensated sum that ``sum``
+    # of floats makes from Python 3.12 on differ in the last bit; the first
+    # component would then end in ...858. These bits hold on every version.
+    s = build_scenario(ScenarioParams(0.2, 0.7))
+    assert [_hex(z) for z in s.n_f.components.tolist()] == [
+        ("0x1.9d281a4e8c857p-1", "0x0.0p+0"),
+        ("0x1.0e797a0a15212p-2", "0x0.0p+0"),
+        ("-0x1.0e797a0a15212p-1", "0x0.0p+0"),
+    ]
+    c = hilbert.cofactor([s.d1.components.tolist(), s.d2.components.tolist()])
+    terms = [z.real * z.real + z.imag * z.imag for z in c]
+    assert terms[0] + terms[1] + terms[2] != math.fsum(terms)
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _digest(points):
+    """sha256 over each point's vectors (``components`` bytes, ``LABELS`` order) and report."""
+    h = hashlib.sha256()
+    for p in points:
+        module = hardy3 if isinstance(p, ScenarioParams) else nonlocal4
+        s = module.build(p)
+        for v in s.vectors.values():
+            h.update(v.components.tobytes())
+        h.update(json.dumps(report_to_json(module.verify_all(s))).encode())
+    return h.hexdigest()
+
+
+def _cpu_features():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath.__cpu_features__
+
+
+#: numpy's dispatch targets above the x86-64-v2 baseline, whose kernels fuse multiplies and adds.
+SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not _cpu_features().get("X86_V3"), reason="numpy finds no X86_V3 here")
+def test_vectors_and_reports_do_not_depend_on_numpy_simd_or_blas():
+    # The same points, sent as exact floats, built and verified in a child
+    # interpreter whose numpy runs without its SIMD kernels and whose
+    # OpenBLAS runs its oldest x86-64 kernels: the bytes must not move.
+    points = make_points(2024, 2000)
+    disabled = [f for f in SIMD_TARGETS if _cpu_features().get(f)]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.dirname(contextnet.__path__[0]), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {tests!r})\n"
+        "from test_scenario import LocalParams, ScenarioParams, _cpu_features, _digest\n"
+        "docs = json.load(sys.stdin)\n"
+        "points = [ScenarioParams(**d) if 'alpha' in d else LocalParams(**d) for d in docs]\n"
+        "print(_digest(points), _cpu_features().get('X86_V3'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps([p.to_dict() for p in points]),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [_digest(points), "False"]
+
+
+class _NoNumpy:
+    """Stands in for numpy in a module; any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used on the per-point path")
+
+
+@pytest.mark.parametrize("module,params,figure", [
+    (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1), 2),
+    (nonlocal4, LocalParams(0.3, 1.1), 4),
+], ids=["hardy3", "nonlocal4"])
+def test_the_per_point_path_makes_no_numpy_call(module, params, figure, monkeypatch):
+    net = network.builtin_network(figure)
+    s = module.build(params)
+    want = report_to_json(module.verify_all(s))
+    for m in (hilbert, hardy3, nonlocal4, network, scenario, report):
+        monkeypatch.setattr(m, "np", _NoNumpy(), raising=False)
+    with pytest.raises(AssertionError, match="np.asarray"):
+        StateVector([1.0])  # the stub is in place
+    s = module.build(params)
+    assert network.validate_realization(net, s.realization()) == []
+    assert report_to_json(module.verify_all(s)) == want
 
 
 @pytest.mark.parametrize("residuals", [(1e-16, math.nan), (math.nan, 1e-16), (0.0, math.nan, 1.0)])
