@@ -1,4 +1,4 @@
-"""Three-dimensional cyclic context scenario and its closed-form overlaps.
+"""Three-dimensional cyclic context scenario and its closed-form relations.
 
 The scenario lives in dimension 3. The central context is the standard
 basis {|1>, |2>, |3>}. Two outside outcomes are fixed by two probability
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, orthogonal_complement, squared_norm
+from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm
 from .report import RelationReport
 from .scenario import Params, Scenario
 
@@ -54,7 +54,11 @@ class ScenarioParams(Params):
 
 @dataclass(frozen=True)
 class HardyScenario(Scenario):
-    """The nine outcome vectors of the dimension-3 scenario, by label."""
+    """The nine outcome vectors of the dimension-3 scenario, by label.
+
+    ``verify_all`` makes one ``inner`` call for each of the 16 ordered pairs
+    that its relations read.
+    """
 
     LABELS = {
         "1": "k1", "2": "k2", "3": "k3",
@@ -62,14 +66,6 @@ class HardyScenario(Scenario):
         "S1": "s1", "S2": "s2",
         "f": "f", "N_f": "n_f",
     }
-    OVERLAPS = (
-        ("D1", "3"), ("3", "D2"), ("D1", "D2"),
-        ("D1", "f"), ("D2", "f"), ("3", "f"),
-        ("f", "3"), ("3", "N_f"), ("f", "N_f"),
-        ("D2", "3"), ("D2", "1"), ("1", "N_f"),
-        ("D1", "2"), ("2", "N_f"),
-        ("f", "D1"), ("f", "D2"),
-    )
     SAMPLED = ("N_f", "f")
 
     params: ScenarioParams
@@ -93,10 +89,10 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     d2 = StateVector._of(
         (complex(math.sqrt(1.0 - b)), 0j, cmath.exp(1j * params.phase_d2) * math.sqrt(b))
     )
-    s1 = orthogonal_complement([k1, d1], 3)
-    s2 = orthogonal_complement([k2, d2], 3)
-    n_f = orthogonal_complement([d1, d2], 3)
-    f = orthogonal_complement([s1, s2], 3)
+    s1 = orthogonal_complement([k1, d1])
+    s2 = orthogonal_complement([k2, d2])
+    n_f = orthogonal_complement([d1, d2])
+    f = orthogonal_complement([s1, s2])
     return HardyScenario.build(params, (k1, k2, k3, d1, d2, s1, s2, f, n_f))
 
 
@@ -159,24 +155,31 @@ def verify_all(s: HardyScenario) -> RelationReport:
     """
     a, b = s.params.alpha, s.params.beta
     nf3 = _nf3(a, b)
-    o = s.overlaps()
-    c1, c2, c3 = o["D1", "f"], o["D2", "f"], o["3", "f"]
-    columns = (v._components for v in (s.f, s.d1, s.d2, s.k3))
-    f_expansion = [f - (d1 * c1 + d2 * c2 - k3 * c3) for f, d1, d2, k3 in zip(*columns)]
+    k1, k2, k3, d1, d2, f, n_f = s.k1, s.k2, s.k3, s.d1, s.d2, s.f, s.n_f
+    # <x|y> and <y|x> are separate calls: a conjugate may flip a zero's sign
+    d1_k3, k3_d2, d1_d2 = inner(d1, k3), inner(k3, d2), inner(d1, d2)
+    d1_f, d2_f, k3_f, f_k3 = inner(d1, f), inner(d2, f), inner(k3, f), inner(f, k3)
+    k3_nf, f_nf, d2_k3 = inner(k3, n_f), inner(f, n_f), inner(d2, k3)
+    d2_k1, k1_nf, d1_k2, k2_nf = inner(d2, k1), inner(k1, n_f), inner(d1, k2), inner(k2, n_f)
+    f_d1, f_d2 = inner(f, d1), inner(f, d2)
+    columns = (v._components for v in (f, d1, d2, k3))
+    f_expansion = [
+        fi - (d1i * d1_f + d2i * d2_f - k3i * k3_f) for fi, d1i, d2i, k3i in zip(*columns)
+    ]
     return s.report(
-        ("eq3", o["D1", "3"] * o["3", "D2"], o["D1", "D2"]),
+        ("eq3", d1_k3 * k3_d2, d1_d2),
         ("eq6", 0.0, math.sqrt(squared_norm(f_expansion))),
-        ("eq9", -o["f", "3"] * o["3", "N_f"], o["f", "N_f"]),
-        ("eq10a", -o["D2", "3"] * o["3", "N_f"], o["D2", "1"] * o["1", "N_f"]),
-        ("eq10b", -o["D1", "3"] * o["3", "N_f"], o["D1", "2"] * o["2", "N_f"]),
-        ("eq11a", (b / (1.0 - b)) * nf3, abs(o["1", "N_f"]) ** 2),
-        ("eq11b", (a / (1.0 - a)) * nf3, abs(o["2", "N_f"]) ** 2),
-        ("eq12", nf3, abs(o["3", "N_f"]) ** 2),
-        ("eq13a", o["f", "D1"] * o["D1", "3"], o["f", "3"]),
-        ("eq13b", o["f", "D2"] * o["D2", "3"], o["f", "3"]),
-        ("eq14", 1.0, abs(o["f", "D1"]) ** 2 + abs(o["f", "D2"]) ** 2 - abs(o["f", "3"]) ** 2),
-        ("eq15", _f3(a, b), abs(o["f", "3"]) ** 2),
-        ("eq16", _paradox(a, b), abs(o["f", "N_f"]) ** 2),
+        ("eq9", -f_k3 * k3_nf, f_nf),
+        ("eq10a", -d2_k3 * k3_nf, d2_k1 * k1_nf),
+        ("eq10b", -d1_k3 * k3_nf, d1_k2 * k2_nf),
+        ("eq11a", (b / (1.0 - b)) * nf3, abs(k1_nf) ** 2),
+        ("eq11b", (a / (1.0 - a)) * nf3, abs(k2_nf) ** 2),
+        ("eq12", nf3, abs(k3_nf) ** 2),
+        ("eq13a", f_d1 * d1_k3, f_k3),
+        ("eq13b", f_d2 * d2_k3, f_k3),
+        ("eq14", 1.0, abs(f_d1) ** 2 + abs(f_d2) ** 2 - abs(f_k3) ** 2),
+        ("eq15", _f3(a, b), abs(f_k3) ** 2),
+        ("eq16", _paradox(a, b), abs(f_nf) ** 2),
     )
 
 

@@ -20,8 +20,8 @@ report, so the bits are the same on every host. numpy stays where it is the
 interface or has no small equivalent: the array-like constructor, the
 read-only ``components`` array and ``repr``, and ``complete_context``'s SVD.
 
-The vector orthogonal to dim - 1 given ones, which fixes each derived
-outcome, is their ``cofactor`` product, written out over numbers; only
+The vector orthogonal to n - 1 given ones of dimension n, which fixes each
+derived outcome, is their ``cofactor`` product, written out over numbers; only
 ``complete_context``, whose completion of a basis has no unique answer,
 takes an SVD. Constructions defined only up to a global phase (orthogonal
 complements, basis completions) are made deterministic by the phase canon
@@ -281,51 +281,24 @@ def _require_dim(vectors: Sequence[StateVector], dim: int) -> None:
             raise DimensionMismatch(f"input {i} is of dimension {v.dim}, expected {dim}")
 
 
-def _null_spaces(vectors: Sequence[StateVector], dim: int) -> tuple[int, np.ndarray]:
-    """The rank of the inputs and their right-singular vectors, from one SVD.
-
-    The inputs span a subspace of dimension ``rank``, the number of their
-    squared singular values (the Gram eigenvalues, basis-independent) above
-    ``ORTH_TOL``, and rows ``rank:`` of ``vh`` are an orthonormal basis of
-    its complement. A rank is counted from the Python floats of ``sv``:
-    ``x * x`` is the IEEE product that ``sv * sv`` takes.
-
-    Raises:
-        DimensionMismatch: if any input is not of dimension ``dim``.
-        DegenerateSpan: if some input is not finite.
-    """
-    _require_dim(vectors, dim)
-    m = np.array([v._components for v in vectors], np.complex128).reshape(len(vectors), dim)
-    try:
-        _, sv, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # raised for NaN inputs
-        raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    values = sv.tolist()
-    if math.isnan(sum(values)):  # an infinite input gives NaN singular values
-        raise DegenerateSpan("inputs are not finite")
-    return sum(x * x > ORTH_TOL for x in values), vh
-
-
-def orthogonal_complement(vectors: Sequence[StateVector], dim: int) -> StateVector:
+def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
     """Unit vector orthogonal to every input, canonically phased.
 
-    Takes exactly dim - 1 inputs, for dim 2, 3 or 4. The complement is
+    Takes n - 1 inputs of dimension n, for n = 2, 3 or 4. The complement is
     their ``cofactor`` vector, divided by its norm and phased by
     ``canonical_phase``. Its squared norm, the inputs' Gram determinant,
-    must be finite and above ``ORTH_TOL``, so that the inputs span a
-    (dim - 1)-dimensional subspace and the complement is unique up to phase.
+    must be finite and above ``ORTH_TOL``, so that the inputs span an
+    (n - 1)-dimensional subspace and the complement is unique up to phase.
 
     Raises:
-        DegenerateSpan: if there are not dim - 1 inputs, or their Gram
-            determinant is not finite or not above ``ORTH_TOL`` (dependent
-            or non-finite inputs).
-        DimensionMismatch: if any input is not of dimension ``dim``.
-        ValueError: if ``dim`` is not 2, 3 or 4.
+        DimensionMismatch: naming the first input not of dimension
+            ``len(vectors) + 1``.
+        DegenerateSpan: if the Gram determinant is not finite or not above
+            ``ORTH_TOL`` (dependent or non-finite inputs).
+        ValueError: from ``cofactor``, if there are no inputs or more than 3.
     """
     vectors = tuple(vectors)
-    if len(vectors) != dim - 1:
-        raise DegenerateSpan(f"{len(vectors)} inputs given, expected dim - 1 = {dim - 1}")
-    _require_dim(vectors, dim)
+    _require_dim(vectors, len(vectors) + 1)
     c = cofactor([v._components for v in vectors])
     gram = squared_norm(c)
     if not ORTH_TOL < gram < math.inf:  # NaN too
@@ -371,9 +344,14 @@ class MeasurementContext:
 def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementContext:
     """Deterministically extend orthonormal vectors to a full measurement context.
 
-    The new vectors are the canonically phased null rows of ``_null_spaces``, so
-    the completion is reproducible bit for bit. The context's outcomes start
-    with the inputs, unchanged, and ``MeasurementContext`` checks them all.
+    One SVD of the inputs gives their rank, the number of squared singular
+    values (the Gram eigenvalues, basis-independent) above ``ORTH_TOL``, and
+    rows ``rank:`` of ``vh``, an orthonormal basis of their complement. The
+    rank is counted from the Python floats of ``sv``: ``x * x`` is the IEEE
+    product that ``sv * sv`` takes. The new vectors are those rows,
+    canonically phased, so the completion is reproducible bit for bit. The
+    context's outcomes start with the inputs, unchanged, and
+    ``MeasurementContext`` checks them all.
 
     Raises:
         DimensionMismatch: if any input is not of dimension ``dim``.
@@ -383,6 +361,15 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementCon
             independent.
     """
     vecs = list(vectors)
-    rank, vh = _null_spaces(vecs, dim)
+    _require_dim(vecs, dim)
+    m = np.array([v._components for v in vecs], np.complex128).reshape(len(vecs), dim)
+    try:
+        _, sv, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:  # raised for NaN inputs
+        raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
+    values = sv.tolist()
+    if math.isnan(sum(values)):  # an infinite input gives NaN singular values
+        raise DegenerateSpan("inputs are not finite")
+    rank = sum(x * x > ORTH_TOL for x in values)
     completion = (StateVector._of(canonical_phase(row)) for row in vh[rank:].tolist())
     return MeasurementContext((*vecs, *completion))

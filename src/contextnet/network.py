@@ -166,14 +166,14 @@ def validate_realization(
     if len(dims) > 1:
         raise DimensionMismatch(f"assignment mixes dimensions {sorted(dims)}")
 
-    def overlaps(pairs):
+    def magnitudes(pairs):
         return [(pair, abs(inner(assignment[pair[0]], assignment[pair[1]]))) for pair in pairs]
 
     # Written as "not below" and "not at or above", so a NaN overlap breaks both.
-    violations = [Violation("edge", p, o) for p, o in overlaps(net.edges) if not o < ORTH_TOL]
+    violations = [Violation("edge", p, o) for p, o in magnitudes(net.edges) if not o < ORTH_TOL]
     violations += [
         Violation("non_edge", p, o)
-        for p, o in overlaps(net.required_non_edges) if not o >= ORTH_TOL
+        for p, o in magnitudes(net.required_non_edges) if not o >= ORTH_TOL
     ]
     return violations
 

@@ -1,10 +1,11 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
-A scenario module declares its parameters as frozen dataclass fields, its
-outcome labels in a ``LABELS`` table and its relations as rows over
-labelled overlaps. Its builder computes every vector, each derived one with
-its own ``orthogonal_complement`` call (a cofactor product), and hands them
-to ``Scenario.build`` in ``LABELS`` order.
+A scenario module declares its parameters as frozen dataclass fields and
+its outcome labels in a ``LABELS`` table. Its builder computes every
+vector, each derived one with its own ``orthogonal_complement`` call (a
+cofactor product), and hands them to ``Scenario.build`` in ``LABELS``
+order. Its ``verify_all`` makes one ``inner`` call per ordered pair of
+vectors that its relations read and reports the relations as rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
 from .errors import OutOfDomain, require_interior
-from .hilbert import StateVector, inner
+from .hilbert import StateVector
 from .report import Relation, RelationReport, Scalar
 
 
@@ -92,14 +93,12 @@ class Scenario:
 
     ``vectors`` is the read-only label -> vector mapping, in ``LABELS``
     order, that ``build`` fills once. ``LABELS`` maps each figure node label
-    to the read-only attribute that returns its vector. ``OVERLAPS`` lists
-    the (x, y) pairs whose <x|y> the relations read. ``SAMPLED`` names the
-    (prepared state, detected outcome) pair whose frequency the oracle
+    to the read-only attribute that returns its vector. ``SAMPLED`` names
+    the (prepared state, detected outcome) pair whose frequency the oracle
     samples.
     """
 
     LABELS: ClassVar[Mapping[str, str]]
-    OVERLAPS: ClassVar[tuple[tuple[str, str], ...]]
     SAMPLED: ClassVar[tuple[str, str]]
 
     params: Params
@@ -129,15 +128,6 @@ class Scenario:
     def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""
         return self.vectors
-
-    def overlaps(self) -> dict[tuple[str, str], complex]:
-        """``o[x, y]`` = ``inner(x, y)`` for every pair of ``OVERLAPS``, in order.
-
-        A pair that ``OVERLAPS`` does not list is a ``KeyError``; ``o[y, x]``
-        is an entry of its own.
-        """
-        v = self.vectors
-        return {pair: inner(v[pair[0]], v[pair[1]]) for pair in self.OVERLAPS}
 
     def report(self, *rows: tuple[str, Scalar, Scalar]) -> RelationReport:
         """The report of ``(id, formula value, direct value)`` rows, in order."""

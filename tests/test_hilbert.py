@@ -137,7 +137,7 @@ def _made_vectors():
     return {
         "basis_vector": basis_vector(4, 1),
         "tensor": tensor(u, w),
-        "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])], 3),
+        "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])]),
         "complete_context": complete_context([w], 3).outcomes[2],
     }
 
@@ -303,50 +303,54 @@ class TestTensor:
 
 class TestOrthogonalComplement:
     def test_completes_standard_basis(self):
-        out = orthogonal_complement([basis_vector(3, 0), basis_vector(3, 1)], 3)
+        out = orthogonal_complement([basis_vector(3, 0), basis_vector(3, 1)])
         assert np.allclose(out.components, [0, 0, 1])
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(DegenerateSpan):
-            orthogonal_complement([basis_vector(3, 0)], 3)
+        e0 = basis_vector(3, 0)
+        with pytest.raises(DegenerateSpan, match="Gram determinant 0.0,"):
+            orthogonal_complement([e0, e0])
 
     def test_overcomplete_rejected(self):
-        with pytest.raises(DegenerateSpan):
-            orthogonal_complement([basis_vector(3, i) for i in range(3)], 3)
+        # three inputs fix a vector of dimension 4, so dimension-3 inputs mismatch
+        with pytest.raises(DimensionMismatch, match="^input 0 is of dimension 3, expected 4$"):
+            orthogonal_complement([basis_vector(3, i) for i in range(3)])
 
     def test_duplicates_spanning_correctly_are_fine(self):
-        # no longer fine: exactly dim - 1 inputs, so a duplicate that spans
-        # correctly is one input too many
+        # not fine: n - 1 inputs fix dimension n, so with a duplicate that
+        # spans correctly the inputs are one too many for their dimension
         e1 = basis_vector(3, 0)
-        with pytest.raises(DegenerateSpan, match="^3 inputs given, expected dim - 1 = 2$"):
-            orthogonal_complement([e1, e1, basis_vector(3, 1)], 3)
+        with pytest.raises(DimensionMismatch, match="^input 0 is of dimension 3, expected 4$"):
+            orthogonal_complement([e1, e1, basis_vector(3, 1)])
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_wrong_input_count_is_named(self, dim):
-        for count in sorted({0, dim - 2, dim, dim + 1}):
-            with pytest.raises(DegenerateSpan, match=f"^{count} inputs given, expected"):
-                orthogonal_complement([basis_vector(dim, i % dim) for i in range(count)], dim)
+        # a wrong count shows as inputs not of dimension count + 1
+        for count in sorted({dim - 2, dim, dim + 1} - {0}):
+            expected = f"^input 0 is of dimension {dim}, expected {count + 1}$"
+            with pytest.raises(DimensionMismatch, match=expected):
+                orthogonal_complement([basis_vector(dim, i % dim) for i in range(count)])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="^input 0 is of dimension 2, expected 3$"):
-            orthogonal_complement([basis_vector(2, 0), basis_vector(3, 0)], 3)
+            orthogonal_complement([basis_vector(2, 0), basis_vector(3, 0)])
         with pytest.raises(DimensionMismatch, match="^input 1 is of dimension 4, expected 3$"):
-            orthogonal_complement([basis_vector(3, 0), basis_vector(4, 0)], 3)
+            orthogonal_complement([basis_vector(3, 0), basis_vector(4, 0)])
 
     def test_other_dimensions_rejected(self):
         # the cofactor is written out for dimensions 2 to 4 only
         for dim in (1, 5):
             with pytest.raises(ValueError, match="rows"):
-                orthogonal_complement([basis_vector(dim, i) for i in range(dim - 1)], dim)
+                orthogonal_complement([basis_vector(dim, i) for i in range(dim - 1)])
 
     def test_empty_input_rejected(self):
-        with pytest.raises(DegenerateSpan):
-            orthogonal_complement([], 3)
+        with pytest.raises(ValueError, match="^need 1 to 3 rows"):
+            orthogonal_complement([])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DegenerateSpan):
-            orthogonal_complement([StateVector([bad, 0.0, 0.0]), basis_vector(3, 1)], 3)
+            orthogonal_complement([StateVector([bad, 0.0, 0.0]), basis_vector(3, 1)])
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
@@ -357,17 +361,17 @@ class TestOrthogonalComplement:
                 inputs = [basis_vector(dim, i).components.copy() for i in range(dim - 1)]
                 inputs[row][col] = bad
                 with pytest.raises(DegenerateSpan, match="Gram determinant"):
-                    orthogonal_complement([StateVector(v) for v in inputs], dim)
+                    orthogonal_complement([StateVector(v) for v in inputs])
 
     def test_gram_determinant_at_the_tolerance_is_rejected(self):
         # a single input [x, y] of dimension 2 has Gram determinant y * y + x * x
         x = math.sqrt(ORTH_TOL / 2)
         assert x * x + x * x == ORTH_TOL
         with pytest.raises(DegenerateSpan, match="Gram determinant 1e-10,"):
-            orthogonal_complement([StateVector([x, x])], 2)
+            orthogonal_complement([StateVector([x, x])])
         above = math.nextafter(x, 1.0)
         assert x * x + above * above > ORTH_TOL
-        out = orthogonal_complement([StateVector([x, above])], 2)
+        out = orthogonal_complement([StateVector([x, above])])
         assert abs(inner(out, _normalized([x, above]))) < 1e-15
 
     @pytest.mark.parametrize("dim,bad", [
@@ -378,7 +382,7 @@ class TestOrthogonalComplement:
         inputs = [StateVector(_random_components(rng, dim, 0)) for _ in range(dim - 1)]
         inputs[-1] = StateVector(2j * inputs[0].components if bad == "parallel" else np.zeros(dim))
         with pytest.raises(DegenerateSpan, match="Gram determinant"):
-            orthogonal_complement(inputs, dim)
+            orthogonal_complement(inputs)
 
     @given(u=_vectors(3), v=_vectors(3))
     @settings(deadline=None)
@@ -386,7 +390,7 @@ class TestOrthogonalComplement:
         gram = abs(inner(u, v))
         if gram > 1.0 - 1e-3:  # nearly parallel inputs are rank deficient
             return
-        out = orthogonal_complement([u, v], 3)
+        out = orthogonal_complement([u, v])
         assert abs(inner(out, u)) < 1e-10
         assert abs(inner(out, v)) < 1e-10
         assert abs(out.norm() - 1.0) < 1e-12
@@ -397,8 +401,8 @@ class TestOrthogonalComplement:
     def test_deterministic_bit_identical(self):
         u = _normalized([0.3 + 0.1j, -0.2, 0.9 + 0.4j])
         v = _normalized([0.1, 0.8 - 0.3j, -0.2j])
-        first = orthogonal_complement([u, v], 3)
-        second = orthogonal_complement([u, v], 3)
+        first = orthogonal_complement([u, v])
+        second = orthogonal_complement([u, v])
         assert np.array_equal(first.components, second.components)
 
 
@@ -478,7 +482,7 @@ class TestStackedBits:
             "inf": [StateVector([math.inf, 0.0, 0.0]), basis_vector(3, 1)],
         }[bad]
         with pytest.raises(DegenerateSpan, match="Gram determinant"):
-            orthogonal_complement(bad_group, 3)
+            orthogonal_complement(bad_group)
         for position in range(k):
             groups = [[StateVector(_random_components(rng, 3, 0)) for _ in range(2)]
                       for _ in range(k)]
@@ -493,7 +497,7 @@ class TestStackedBits:
                 if i != position:
                     alone = cofactor([v.components.tolist() for v in group])
                     assert columns[:, i].tolist() == pytest.approx(alone, rel=1e-14)
-                    orthogonal_complement(group, 3)
+                    orthogonal_complement(group)
 
 
 class TestCanonicalPhase:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextnet import nonlocal4
 from contextnet.errors import DegenerateSpan, DimensionMismatch, OutOfDomain
 from contextnet.hardy3 import predicted_paradox
 from contextnet.hilbert import StateVector, inner, tensor
@@ -12,7 +13,6 @@ from contextnet.nonlocal4 import (
     BASIS,
     PRODUCT_BASIS,
     LocalParams,
-    NonlocalScenario,
     build_nonlocal,
     predicted_aa_nf,
     predicted_faa,
@@ -162,15 +162,14 @@ class TestAaDecomposition:
             assert report.relation("eq18").direct_value < 1e-10
 
     def test_nan_factorization_is_not_hidden(self, monkeypatch):
-        overlaps = NonlocalScenario.overlaps
-
-        def with_nan_overlap(s):
-            o = overlaps(s)
-            o["a,a", "N_f"] = complex(math.nan, 0.0)
-            return o
-
-        monkeypatch.setattr(NonlocalScenario, "overlaps", with_nan_overlap)
         s = build_nonlocal(LocalParams(0.37, 1.3))
+
+        def with_nan_overlap(u, v):
+            if u is s.kaa and v is s.n_f:
+                return complex(math.nan, 0.0)
+            return inner(u, v)
+
+        monkeypatch.setattr(nonlocal4, "inner", with_nan_overlap)
         row = verify_all(s).relation("eq18")
         assert math.isnan(row.direct_value) and math.isnan(row.residual)
 

@@ -42,14 +42,14 @@ from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
 from contextnet.report import Relation, RelationReport, nan_max, report_to_json
 
-#: Each scenario's dimension, and each derived label with the labels it is orthogonal to.
+#: Each scenario's derived labels, each with the labels it is orthogonal to.
 DERIVED = {
-    HardyScenario: (3, {
+    HardyScenario: {
         "S1": ("1", "D1"), "S2": ("2", "D2"), "f": ("S1", "S2"), "N_f": ("D1", "D2"),
-    }),
-    NonlocalScenario: (4, {
+    },
+    NonlocalScenario: {
         "f_NL": ("b,0", "0,b", "1,1"), "N_f": ("a,0", "0,a", "1,1"),
-    }),
+    },
 }
 
 
@@ -59,8 +59,9 @@ DERIVED = {
 ])
 def test_built_vectors_keep_their_derived_orthogonality(build, params):
     s = build(params)
-    dim, derived = DERIVED[type(s)]
-    assert {v.dim for v in s.vectors.values()} == {dim}
+    derived = DERIVED[type(s)]
+    # n - 1 neighbours fix each derived vector in dimension n
+    assert {v.dim for v in s.vectors.values()} == {len(o) + 1 for o in derived.values()}
     for label, orthogonal_to in derived.items():
         for other in orthogonal_to:
             assert abs(inner(s.vectors[label], s.vectors[other])) < ORTH_TOL, (label, other)
@@ -108,64 +109,46 @@ def test_relations_are_frozen_records_that_copy_and_pickle():
         assert copied == report and hash(copied.relations) == hash(report.relations)
 
 
-def test_overlaps_are_inner_products_computed_once():
-    s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
-    o = s.overlaps()
-    assert list(o) == list(s.OVERLAPS)
-    for (x, y), value in o.items():
-        want = inner(s.vectors[x], s.vectors[y])
-        assert type(value) is complex
-        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
-    assert ("D1", "3") in o and ("3", "D1") not in o
-    with pytest.raises(KeyError):
-        o["3", "D1"]
+@pytest.mark.parametrize("module,params,calls", [
+    (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1), 16),
+    (nonlocal4, LocalParams(0.3, 1.1), 5),
+], ids=["hardy3", "nonlocal4"])
+def test_verify_all_makes_one_inner_call_per_ordered_pair(module, params, calls, monkeypatch):
+    s = module.build(params)
+    want = json.dumps(hex_floats(report_to_json(module.verify_all(s))))
+    label = {id(v): name for name, v in s.vectors.items()}
+    pairs = []
+
+    def recording(u, v):
+        pairs.append((label[id(u)], label[id(v)]))
+        return inner(u, v)
+
+    monkeypatch.setattr(module, "inner", recording)
+    got = json.dumps(hex_floats(report_to_json(module.verify_all(s))))
+    assert len(pairs) == calls
+    assert len(set(pairs)) == calls
+    assert got == want
 
 
-class _ReadPairs(dict):
-    """An overlap table that records which pairs are read."""
+@pytest.mark.parametrize("module,params", [
+    (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1)),
+    (nonlocal4, LocalParams(0.3, 1.1)),
+], ids=["hardy3", "nonlocal4"])
+def test_derived_vectors_are_complement_calls_in_labels_order(module, params, monkeypatch):
+    made = []
 
-    def __init__(self, table):
-        super().__init__(table)
-        self.read = set()
+    def recording(vectors):
+        made.append(orthogonal_complement(vectors))
+        return made[-1]
 
-    def __getitem__(self, pair):
-        self.read.add(pair)
-        return super().__getitem__(pair)
-
-
-@pytest.mark.parametrize("build,verify,params", [
-    (build_scenario, verify_hardy, ScenarioParams(0.3, 0.7, 0.4, 2.1)),
-    (build_nonlocal, verify_nonlocal, LocalParams(0.3, 1.1)),
-])
-def test_overlaps_lists_exactly_the_pairs_the_relations_read(build, verify, params, monkeypatch):
-    s = build(params)
-    tables = []
-    original = type(s).overlaps
-
-    def recording(self):
-        tables.append(_ReadPairs(original(self)))
-        return tables[-1]
-
-    monkeypatch.setattr(type(s), "overlaps", recording)
-    verify(s)
-    assert len(tables) == 1
-    assert len(set(s.OVERLAPS)) == len(s.OVERLAPS)
-    assert tables[0].read == set(s.OVERLAPS)
-
-
-@pytest.mark.parametrize("build,params,stages", [
-    (build_scenario, ScenarioParams(0.3, 0.7, 0.4, 2.1), [["S1", "S2", "N_f"], ["f"]]),
-    (build_nonlocal, LocalParams(0.3, 1.1), [["f_NL", "N_f"]]),
-])
-def test_stages_group_derived_by_dependency_and_vectors_keep_labels_order(build, params, stages):
-    s = build(params)
-    dim, derived = DERIVED[type(s)]
-    assert sorted(label for stage in stages for label in stage) == sorted(derived)
-    # each derived vector is one complement call over seeds and earlier stages
-    for stage in stages:
-        for label in stage:
-            v = orthogonal_complement([s.vectors[other] for other in derived[label]], dim)
-            assert s.vectors[label].components.tobytes() == v.components.tobytes(), label
+    monkeypatch.setattr(module, "orthogonal_complement", recording)
+    s = module.build(params)
+    derived = DERIVED[type(s)]
+    # DERIVED names every labelled vector that a complement call made, and no other
+    assert {label for label, v in s.vectors.items() if any(v is m for m in made)} == set(derived)
+    for label, neighbours in derived.items():
+        v = orthogonal_complement([s.vectors[other] for other in neighbours])
+        assert s.vectors[label].components.tobytes() == v.components.tobytes(), label
     # hardy3's f is built last, after N_f, but keeps its LABELS place
     assert list(s.vectors) == list(s.LABELS)
 
@@ -201,8 +184,8 @@ def reference_squared_norm(zs):
     return total
 
 
-def reference_complement(vectors, dim):
-    """The complement of dim - 1 inputs as their conjugated cofactor vector, spelled out.
+def reference_complement(vectors):
+    """The complement of n - 1 inputs of dimension n as their conjugated cofactor vector.
 
     Entry j is the conjugated cofactor of column j in the matrix whose first
     rows are the inputs: -b, a in dimension 2; the cross product in
@@ -214,7 +197,8 @@ def reference_complement(vectors, dim):
     ``conj(c) / |c|``, each a Python complex operation.
     """
     rows = [v.components.tolist() for v in vectors]
-    assert len(rows) == dim - 1 and {len(row) for row in rows} == {dim}
+    dim = len(rows) + 1
+    assert {len(row) for row in rows} == {dim}
     if dim == 2:
         ((a, b),) = rows
         c = [-b, a]
@@ -250,10 +234,10 @@ def reference_hardy(p):
     k1, k2, k3 = (basis_vector(3, i) for i in range(3))
     d1 = StateVector([0.0, math.sqrt(1.0 - a), cmath.exp(1j * p.phase_d1) * math.sqrt(a)])
     d2 = StateVector([math.sqrt(1.0 - b), 0.0, cmath.exp(1j * p.phase_d2) * math.sqrt(b)])
-    s1 = reference_complement([k1, d1], 3)
-    s2 = reference_complement([k2, d2], 3)
-    f = reference_complement([s1, s2], 3)
-    n_f = reference_complement([d1, d2], 3)
+    s1 = reference_complement([k1, d1])
+    s2 = reference_complement([k2, d2])
+    f = reference_complement([s1, s2])
+    n_f = reference_complement([d1, d2])
     vectors = {"1": k1, "2": k2, "3": k3, "D1": d1, "D2": d2,
                "S1": s1, "S2": s2, "f": f, "N_f": n_f}
 
@@ -294,13 +278,13 @@ def reference_nonlocal(p):
     x = p.a2
     k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
     ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
-    kb = reference_complement([ka], 2)
+    kb = reference_complement([ka])
     k00, k01, k10, k11 = (tensor(u, v) for u in (k0, k1) for v in (k0, k1))
     ka0, k0a = tensor(ka, k0), tensor(k0, ka)
     kb0, k0b = tensor(kb, k0), tensor(k0, kb)
     kaa = tensor(ka, ka)
-    f_nl = reference_complement([kb0, k0b, k11], 4)
-    n_f = reference_complement([ka0, k0a, k11], 4)
+    f_nl = reference_complement([kb0, k0b, k11])
+    n_f = reference_complement([ka0, k0a, k11])
     vectors = {
         "0,0": k00, "0,1": k01, "1,0": k10, "1,1": k11,
         "a,0": ka0, "0,a": k0a, "b,0": kb0, "0,b": k0b,
@@ -364,6 +348,11 @@ def test_near_boundary_residuals_stay_at_rounding_level():
     points = make_points(2024, 20000)
     near = points[0::10] + points[1::10]  # every fifth point of each scenario
     near += [ScenarioParams(0.999999999, 0.999999999), LocalParams(0.999999999)]
+    # and the other corners of the domain, at 1e-9
+    near += [
+        ScenarioParams(1e-9, 1e-9), ScenarioParams(1e-9, 1 - 1e-9),
+        ScenarioParams(1 - 1e-9, 1e-9), LocalParams(1e-9),
+    ]
     worst = 0.0
     for p in near:
         if isinstance(p, ScenarioParams):
