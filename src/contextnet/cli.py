@@ -7,7 +7,8 @@ Subcommands:
     graph   print a built-in orthogonality network as JSON
 
 Exit codes: 0 success, 1 a relation residual exceeded the threshold,
-2 bad input (unparseable file, out-of-domain parameters, unwritable path),
+2 bad input (unparseable file or one that repeats a key, out-of-domain
+parameters, unwritable path),
 141 standard output was closed before the output was written (128 + SIGPIPE,
 as a shell reports a process that a broken pipe killed).
 
@@ -23,7 +24,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,9 +39,6 @@ RESIDUAL_THRESHOLD = 1e-10
 #: Exit status when stdout's reader has gone: 128 + SIGPIPE, as a shell reports it.
 BROKEN_PIPE_EXIT = 141
 
-#: json's tokens for the floats that ``float.__repr__`` spells nan, inf and -inf.
-_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 #: Most cells of one block of alpha rows that ``cmd_sweep`` evaluates in one
 #: call; a grid wider than this gets one-row blocks.
 _SWEEP_BLOCK_CELLS = 2**16
@@ -51,45 +48,14 @@ _SWEEP_BLOCK_CELLS = 2**16
 SCENARIOS = {"hardy3": hardy3, "nonlocal4": nonlocal4}
 
 
-def _json_text(doc, indent: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)``, character for character, without an encoder.
-
-    ``doc`` is built of str-keyed dicts, lists, tuples, str, int, float,
-    bool and None, as every document the CLI prints is; anything else, a
-    dict key included, raises TypeError. Strings go through the json
-    module's own ``encode_basestring_ascii``, ints through ``int.__repr__``
-    and floats through ``float.__repr__``, with json's ``NaN``,
-    ``Infinity`` and ``-Infinity``. ``json.dumps`` with an indent runs the
-    json module's Python encoder, which builds closures on every call that
-    only the cyclic garbage collector frees; this makes no cycles.
-    ``indent`` is the line break and indentation that close ``doc``; each
-    level of nesting adds two spaces.
-    """
-    if isinstance(doc, float):
-        text = float.__repr__(doc)
-        return _FLOAT_TOKENS.get(text, text)
-    if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
-    inner = indent + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        items = [_json_text(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if doc is None:
-        return "null"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice raises ValueError naming it."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given twice")
+        doc[key] = value
+    return doc
 
 
 def _build(kind: str, path: str):
@@ -97,7 +63,7 @@ def _build(kind: str, path: str):
     module = SCENARIOS[kind]
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{path} nests too deeply to parse") from None
     return module.build(module.PARAMS.from_dict(doc))
@@ -106,7 +72,7 @@ def _build(kind: str, path: str):
 def cmd_verify(kind: str, params_path: str) -> int:
     report = SCENARIOS[kind].verify_all(_build(kind, params_path))
     timestamp = datetime.now(timezone.utc).isoformat()
-    print(_json_text(report_to_json(report, timestamp=timestamp)))
+    print(json.dumps(report_to_json(report, timestamp=timestamp), indent=2))
     failing = [r.id for r in report.relations if not r.residual < RESIDUAL_THRESHOLD]
     if failing:
         print(f"FAIL {failing[0]}: residual >= {RESIDUAL_THRESHOLD}", file=sys.stderr)
@@ -181,12 +147,12 @@ def cmd_sweep(
 
 def cmd_sample(kind: str, params_path: str, seed: int, trials: int) -> int:
     estimate = oracle.estimate(_build(kind, params_path), seed, trials)
-    print(_json_text(estimate.to_json()))
+    print(json.dumps(estimate.to_json(), indent=2))
     return 0
 
 
 def cmd_graph(figure: int) -> int:
-    print(_json_text(network_to_json(builtin_network(figure))))
+    print(json.dumps(network_to_json(builtin_network(figure)), indent=2))
     return 0
 
 

@@ -64,12 +64,23 @@ class StateVector:
     kept. ``components`` is a read-only complex128 array over an immutable
     ``bytes`` copy of the tuple, made on first access and kept; numpy
     refuses to make it writable again.
+
+    Raises:
+        TypeError: if an entry is None, a str or bytes, which numpy's
+            complex cast would read as NaN or parse as a number.
+        ValueError: if there are no components.
     """
 
     __slots__ = ("_components", "_array", "_norm")
 
     def __init__(self, components) -> None:
-        c = tuple(np.asarray(components, np.complex128).reshape(-1).tolist())
+        array = np.asarray(components)
+        if array.dtype.kind in "OSU":
+            # the entries as given: numpy spells a float beside a str as a str
+            for i, x in enumerate(np.asarray(components, object).reshape(-1).tolist()):
+                if x is None or isinstance(x, (str, bytes)):
+                    raise TypeError(f"component {i} is {x!r}, not a number")
+        c = tuple(array.astype(np.complex128).reshape(-1).tolist())
         if not c:
             raise ValueError("a state vector needs at least one component")
         self._components = c
@@ -341,8 +352,10 @@ class MeasurementContext:
         return self.outcomes[0].dim
 
 
-def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementContext:
+def complete_context(vectors: Sequence[StateVector]) -> MeasurementContext:
     """Deterministically extend orthonormal vectors to a full measurement context.
+
+    The context's dimension is the first input's; every input must share it.
 
     One SVD of the inputs gives their rank, the number of squared singular
     values (the Gram eigenvalues, basis-independent) above ``ORTH_TOL``, and
@@ -354,15 +367,18 @@ def complete_context(vectors: Sequence[StateVector], dim: int) -> MeasurementCon
     ``MeasurementContext`` checks them all.
 
     Raises:
-        DimensionMismatch: if any input is not of dimension ``dim``.
+        IncompleteContext: if there are no inputs, or they are not unit
+            norm, not mutually orthogonal (some |<u|v>| is not below
+            ``ORTH_TOL``) or not independent.
+        DimensionMismatch: naming the first input not of the first one's
+            dimension.
         DegenerateSpan: if some input is not finite.
-        IncompleteContext: if the inputs are not unit norm, not mutually
-            orthogonal (some |<u|v>| is not below ``ORTH_TOL``) or not
-            independent.
     """
     vecs = list(vectors)
-    _require_dim(vecs, dim)
-    m = np.array([v._components for v in vecs], np.complex128).reshape(len(vecs), dim)
+    if not vecs:
+        raise IncompleteContext("a measurement context needs at least one input")
+    _require_dim(vecs, vecs[0].dim)
+    m = np.array([v._components for v in vecs], np.complex128)
     try:
         _, sv, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # raised for NaN inputs

@@ -95,5 +95,5 @@ def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
     context and returns the estimate for that outcome.
     """
     prep, outcome = (scenario.vectors[label] for label in scenario.SAMPLED)
-    return sample_context(prep, complete_context([outcome], outcome.dim), seed, trials)[0]
+    return sample_context(prep, complete_context([outcome]), seed, trials)[0]
 

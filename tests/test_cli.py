@@ -1,10 +1,11 @@
 import csv
 import dataclasses
-import gc
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,7 +157,9 @@ class TestVerifyFailure:
     ("nonlocal4", '{"a2": 0.5, "phase_a": 1' + "0" * 400 + "}", "error: phase_a "),
     ("hardy3", "[0.5]", "error: parameters must be a JSON object"),
     ("hardy3", "0.5", "error: parameters must be a JSON object"),
-], ids=["bool", "string", "null", "huge-int", "array", "number"])
+    # json alone would keep the last value and verify alpha = 0.3
+    ("hardy3", '{"alpha": 0.5, "beta": 0.5, "alpha": 0.3}', "error: key 'alpha' is given twice\n"),
+], ids=["bool", "string", "null", "huge-int", "array", "number", "repeated-key"])
 def test_non_numeric_params_exit_2(tmp_path, capsys, command, scenario, text, named):
     path = tmp_path / "params.json"
     path.write_text(text)
@@ -557,19 +560,6 @@ class TestGraph:
         assert ContextNetwork(doc["nodes"], doc["edges"], doc["non_edges"]) == builtin_network(2)
 
 
-#: JSON leaves, with the floats and strings where an encoder could slip.
-json_leaves = (
-    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.floats()
-    | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 2**63, -(2**64)])
-    | st.text(max_size=12)  # non-ASCII, control characters, quotes and backslashes included
-)
-json_docs = st.recursive(
-    json_leaves,
-    lambda children: st.lists(children) | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(max_size=12), children),
-    max_leaves=25,
-)
-
 #: Every document kind the CLI prints: verify and sample for each scenario, graph per figure.
 PRINTING_COMMANDS = [
     ["verify", "hardy3", "--params", "{hardy3}"],
@@ -580,20 +570,7 @@ PRINTING_COMMANDS = [
 
 
 class TestJsonText:
-    """The CLI's writer gives ``json.dumps(doc, indent=2)`` and leaves no cyclic garbage."""
-
-    @seed(20261018)
-    @settings(max_examples=300, deadline=None)
-    @given(doc=json_docs)
-    def test_equals_json_dumps_indent_2(self, doc):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize("doc", [
-        {1: 2}, {None: 1}, {1.5}, b"x", np.int64(1), np.bool_(True), [1, object()],
-    ], ids=["int-key", "null-key", "set", "bytes", "np-int", "np-bool", "object"])
-    def test_anything_else_is_a_type_error(self, doc):
-        with pytest.raises(TypeError):
-            cli._json_text(doc)
+    """Each document is printed as ``json.dumps(doc, indent=2)`` and a newline, in ASCII."""
 
     @pytest.mark.parametrize("argv", PRINTING_COMMANDS,
                              ids=lambda argv: "-".join(a for a in argv[:3] if a[0] != "-"))
@@ -604,23 +581,35 @@ class TestJsonText:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert out.isascii()
 
-    @pytest.mark.parametrize("argv", PRINTING_COMMANDS,
-                             ids=lambda argv: "-".join(a for a in argv[:3] if a[0] != "-"))
-    def test_writer_leaves_no_cyclic_garbage(self, argv, hardy_params, nonlocal_params, capsys):
-        # Only the writer is measured: the rest of a command runs argparse and
-        # numpy, whose garbage is theirs. json.dumps(doc, indent=2), which runs
-        # json's Python encoder, leaves 33 objects per call on Python 3.11.
-        argv = [a.format(hardy3=hardy_params, nonlocal4=nonlocal_params) for a in argv]
-        main(argv)
-        doc = json.loads(capsys.readouterr().out)
-        gc.collect()
-        gc.disable()
-        try:
-            cli._json_text(doc)
-            garbage = gc.collect()
-        finally:
-            gc.enable()
-        assert garbage == 0
+    @pytest.mark.parametrize("argv,params,digest", [
+        (["verify", "hardy3"], {"alpha": 0.5, "beta": 0.5},
+         "2b77e4be2789487d4290aec2ff5573e5a5634b5c39e568ded4d4695408f49890"),
+        (["verify", "hardy3"], {"alpha": 0.999999999, "beta": 0.999999999},
+         "4e5a3c1659c82aa27eb70336f2e99beae6001b580d9a727b76424f3afc178089"),
+        (["verify", "nonlocal4"], {"a2": 0.5},
+         "015680a6a1f173dd94e8e6b9a7dfe445d7853b2eb7209ec3c3488b405f859a55"),
+        (["graph", "--figure", "1"], None,
+         "d78e06a5c015690d4228e5fa099bc50e5c6506f9ba850e4359791c6009d17b32"),
+        (["graph", "--figure", "2"], None,
+         "2926e047cc242ff1a47d9e36fa6a3af4f33c0080597a17c713aa2d7723ec5fa1"),
+        (["graph", "--figure", "3"], None,
+         "2decb2a03be100bca59dcef4f424e835aba1754e432dda7dec2f6a602a8759ba"),
+        (["graph", "--figure", "4"], None,
+         "c98affd2b00d6aa1bf4a9be430aed6c2299ecbb10e063673cf4dde59001ed53c"),
+    ], ids=["verify-hardy3-center", "verify-hardy3-corner", "verify-nonlocal4-center",
+            "graph-1", "graph-2", "graph-3", "graph-4"])
+    def test_printed_bytes_are_pinned(self, tmp_path, capsys, argv, params, digest):
+        # The sha256 of stdout with the timestamp's value emptied. Every phase
+        # is 0, so no libm cos or sin enters the bytes; sample is left out, as
+        # numpy does not promise its sampler's stream across versions. The
+        # report carries tool_version, so a version bump changes the digests.
+        if params is not None:
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(params))
+            argv = [*argv, "--params", str(path)]
+        assert main(argv) == 0
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_python_m_contextnet_runs_the_cli():

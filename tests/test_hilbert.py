@@ -86,6 +86,22 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([])
 
+    @pytest.mark.parametrize("components,bad", [
+        (None, "0 is None"),
+        ([None, 1.0], "0 is None"),
+        ([1.0, None], "1 is None"),
+        (["1", "0"], "0 is '1'"),
+        ([1.0, "0"], "1 is '0'"),
+        ("10", "0 is '10'"),
+        ([b"1", b"0"], "0 is b'1'"),
+        ([[1.0, 0.0], [0.0, None]], "3 is None"),
+    ], ids=["none", "none-entry", "none-last", "str-entries", "mixed-str", "str", "bytes",
+            "nested"])
+    def test_rejects_none_and_text_entries(self, components, bad):
+        # numpy's complex128 cast reads None as NaN and parses numeric strings
+        with pytest.raises(TypeError, match=f"^component {bad}, not a number$"):
+            StateVector(components)
+
     def test_norm(self):
         assert StateVector([3, 4]).norm() == pytest.approx(5.0)
         assert basis_vector(4, 2).is_normalized()
@@ -138,7 +154,7 @@ def _made_vectors():
         "basis_vector": basis_vector(4, 1),
         "tensor": tensor(u, w),
         "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])]),
-        "complete_context": complete_context([w], 3).outcomes[2],
+        "complete_context": complete_context([w]).outcomes[2],
     }
 
 
@@ -292,7 +308,8 @@ class TestTensor:
         assert [_hex(z) for z in got] == [_hex(x * y) for x in u for y in v]
         # np.kron may fuse a multiply and an add, which moves each part by at
         # most a few units of |u_i| |v_j| in the last place
-        bound = [4 * 2.0**-52 * abs(x) * abs(y) + 1e-300 for x in u for y in v]
+        # (|u_i| |v_j| is formed first, so a subnormal |u_i| cannot underflow it)
+        bound = [4 * 2.0**-52 * (abs(x) * abs(y)) + 1e-300 for x in u for y in v]
         for z, k, b in zip(got, np.kron(u, v).tolist(), bound):
             assert abs(z.real - k.real) <= b and abs(z.imag - k.imag) <= b
 
@@ -525,7 +542,7 @@ class TestCanonicalPhase:
 class TestCompleteContext:
     def test_completes_to_full_basis(self):
         f = _normalized([1.0, 1.0, 1.0])
-        basis = complete_context([f], 3).outcomes
+        basis = complete_context([f]).outcomes
         assert len(basis) == 3
         assert basis[0] == f
         for i, u in enumerate(basis):
@@ -535,15 +552,15 @@ class TestCompleteContext:
 
     def test_deterministic(self):
         f = _normalized([0.5, 0.5j, -0.5, 0.5])
-        a = complete_context([f], 4).outcomes
-        b = complete_context([f], 4).outcomes
+        a = complete_context([f]).outcomes
+        b = complete_context([f]).outcomes
         for u, v in zip(a, b):
             assert np.array_equal(u.components, v.components)
 
     def test_completes_two_inputs_in_dimension_4(self):
         u = _normalized([1.0, 1.0j, 0.0, 1.0])
         v = _normalized([1.0, 0.0, 1.0, -1.0])
-        basis = complete_context([u, v], 4).outcomes
+        basis = complete_context([u, v]).outcomes
         assert len(basis) == 4
         assert basis[0] == u and basis[1] == v
         m = np.array([b.components for b in basis])
@@ -551,22 +568,22 @@ class TestCompleteContext:
         for b in basis[2:]:
             lead = next(c for c in b.components if abs(c) > 1e-10)
             assert lead.real > 0 and abs(lead.imag) < 1e-15
-        again = complete_context([u, v], 4).outcomes
+        again = complete_context([u, v]).outcomes
         assert all(np.array_equal(a.components, b.components) for a, b in zip(basis, again))
 
     def test_rejects_non_orthogonal_inputs(self):
         u = _normalized([1.0, 1.0])
         with pytest.raises(IncompleteContext, match="mutually orthogonal"):
-            complete_context([u, basis_vector(2, 0)], 2)
+            complete_context([u, basis_vector(2, 0)])
 
     def test_rejects_unnormalized_inputs(self):
         with pytest.raises(IncompleteContext, match="unit vectors"):
-            complete_context([StateVector([2.0, 0.0])], 2)
+            complete_context([StateVector([2.0, 0.0])])
 
     def test_returns_the_checked_context_starting_with_its_inputs(self):
         u, v = _normalized([1.0, 1.0j, 0.0, 1.0]), _normalized([1.0, 0.0, 1.0, -1.0])
         for inputs in ([u], [u, v], [basis_vector(4, i) for i in range(4)]):
-            ctx = complete_context(inputs, 4)
+            ctx = complete_context(inputs)
             assert type(ctx) is MeasurementContext and ctx.dim == 4
             assert ctx.outcomes[:len(inputs)] == tuple(inputs)
             assert MeasurementContext(ctx.outcomes) == ctx
@@ -576,16 +593,21 @@ class TestCompleteContext:
         e0, e1 = basis_vector(3, 0), basis_vector(3, 1)
         for inputs in ([e0, e0], [e0, e1, _normalized([1.0, 1.0, 0.0])]):
             with pytest.raises(IncompleteContext, match="4 outcomes must each be of dimension 4"):
-                complete_context(inputs, 3)
+                complete_context(inputs)
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            complete_context([basis_vector(3, 0)], 2)
+        inputs = [basis_vector(3, 0), basis_vector(3, 1), basis_vector(2, 0)]
+        with pytest.raises(DimensionMismatch, match="^input 2 is of dimension 2, expected 3$"):
+            complete_context(inputs)
+
+    def test_rejects_no_inputs(self):
+        with pytest.raises(IncompleteContext, match="at least one input"):
+            complete_context([])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_inputs(self, bad):
         with pytest.raises(DegenerateSpan):
-            complete_context([StateVector([bad, 0.0, 0.0])], 3)
+            complete_context([StateVector([bad, 0.0, 0.0])])
 
 
 def test_basis_vector_bounds():

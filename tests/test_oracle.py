@@ -63,7 +63,7 @@ class TestMeasurementContext:
         with pytest.raises(IncompleteContext, match="mutually orthogonal"):
             MeasurementContext((e0, v, basis_vector(3, 2)))
         with pytest.raises(IncompleteContext, match="mutually orthogonal"):
-            complete_context([e0, v], 3)
+            complete_context([e0, v])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(IncompleteContext):
@@ -78,7 +78,7 @@ class TestMeasurementContext:
     def test_accepts_outcome_within_norm_tolerance(self):
         # the same deviation complete_context accepts in its inputs
         near = StateVector([1.0 + 5e-11, 0.0, 0.0])
-        assert len(complete_context([near], 3).outcomes) == 3
+        assert len(complete_context([near]).outcomes) == 3
         assert MeasurementContext((near, basis_vector(3, 1), basis_vector(3, 2))).dim == 3
 
     def test_accepts_every_context_that_passes_the_norm_and_pairwise_checks(self):
@@ -126,13 +126,13 @@ class TestSampleContext:
         assert estimates[0].count == 0 and estimates[1].count == 0
 
     def test_counts_partition_trials(self, center):
-        ctx = complete_context([center.f], 3)
+        ctx = complete_context([center.f])
         estimates = sample_context(center.n_f, ctx, seed=9, trials=12345)
         assert sum(e.count for e in estimates) == 12345
         assert sum(e.estimate for e in estimates) == pytest.approx(1.0, abs=1e-12)
 
     def test_standard_error_definition(self, center):
-        ctx = complete_context([center.f], 3)
+        ctx = complete_context([center.f])
         for e in sample_context(center.n_f, ctx, seed=10, trials=5000):
             assert e.standard_error == pytest.approx(
                 math.sqrt(e.estimate * (1.0 - e.estimate) / e.trials), abs=1e-15
@@ -184,7 +184,7 @@ class TestSampleContext:
             assert type(e.estimate) is float
 
     def test_numpy_integer_seed_and_trials_serialise(self, center):
-        ctx = complete_context([center.f], 3)
+        ctx = complete_context([center.f])
         plain = sample_context(center.n_f, ctx, seed=3, trials=1000)
         numpy_ints = sample_context(center.n_f, ctx, seed=np.int64(3), trials=np.uint32(1000))
         assert numpy_ints == plain
@@ -195,7 +195,7 @@ class TestSampleContext:
     def test_soundness_across_seeds(self, center):
         # all outcomes within 5 standard errors of the analytic value in at
         # least 99 of 100 independent seeds
-        ctx = complete_context([center.f], 3)
+        ctx = complete_context([center.f])
         analytic = [born_probability(center.n_f, o) for o in ctx.outcomes]
         good = 0
         for seed in range(100):
