@@ -25,8 +25,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
 from .errors import ContextNetError, require_interior
@@ -93,6 +91,8 @@ def cmd_sweep(
     not fit in memory is bad input too. ``out`` is opened, and echoed in
     the summary line, as given.
     """
+    import numpy as np
+
     if grid < 3:
         raise ValueError("grid needs at least 3 points per axis")
     for name, (lo, hi) in (("alpha", alpha_range), ("beta", beta_range)):

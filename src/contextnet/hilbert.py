@@ -19,6 +19,8 @@ FMA paths depend on the host, touches a vector on its way from parameters to
 report, so the bits are the same on every host. numpy stays where it is the
 interface or has no small equivalent: the array-like constructor, the
 read-only ``components`` array and ``repr``, and ``complete_context``'s SVD.
+The module imports numpy only inside those functions, so importing it, and
+building and reporting a scenario, loads no numpy.
 
 The vector orthogonal to n - 1 given ones of dimension n, which fixes each
 derived outcome, is their ``cofactor`` product, written out over numbers; only
@@ -36,8 +38,6 @@ import math
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, IncompleteContext, NotNormalized
 
@@ -74,6 +74,8 @@ class StateVector:
     __slots__ = ("_components", "_array", "_norm")
 
     def __init__(self, components) -> None:
+        import numpy as np
+
         array = np.asarray(components)
         if array.dtype.kind in "OSU":
             # the entries as given: numpy spells a float beside a str as a str
@@ -99,9 +101,11 @@ class StateVector:
         return type(self), (self._components,)
 
     @property
-    def components(self) -> np.ndarray:
+    def components(self) -> numpy.ndarray:
         """Read-only component array (complex128)."""
         if self._array is None:
+            import numpy as np
+
             buffer = np.array(self._components, np.complex128).tobytes()
             self._array = np.frombuffer(buffer, np.complex128)
         return self._array
@@ -130,6 +134,8 @@ class StateVector:
         return hash(self._components)
 
     def __repr__(self) -> str:
+        import numpy as np
+
         body = np.array2string(self.components, separator=", ", precision=8)
         return f"StateVector({body})"
 
@@ -374,6 +380,8 @@ def complete_context(vectors: Sequence[StateVector]) -> MeasurementContext:
             dimension.
         DegenerateSpan: if some input is not finite.
     """
+    import numpy as np
+
     vecs = list(vectors)
     if not vecs:
         raise IncompleteContext("a measurement context needs at least one input")

@@ -32,8 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm, tensor
 from .report import RelationReport, nan_max
@@ -149,6 +147,8 @@ def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
         DimensionMismatch: if the vector is not of dimension 4.
         DegenerateSpan: if the vector is not finite.
     """
+    import numpy as np
+
     if v.dim != 4:
         raise DimensionMismatch(f"need a dimension-4 vector, got {v.dim}")
     if not np.isfinite(v.components).all():

@@ -14,8 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyTrials
 from .hilbert import MeasurementContext, StateVector, born_probability, complete_context
 from .scenario import Scenario
@@ -68,6 +66,8 @@ def sample_context(
             dimension (from ``born_probability``).
         NotNormalized: if ``prep`` is not unit norm (from ``born_probability``).
     """
+    import numpy as np
+
     for name, value in (("seed", seed), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name}={value!r} must be an integer")

@@ -84,6 +84,16 @@ class TestVerify:
         assert main(["verify", "hardy3", "--params", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_domain_error_line_names_the_domain(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"alpha": 0.9999999995, "beta": 0.5}))
+        assert main(["verify", "hardy3", "--params", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: alpha=0.9999999995 must lie in [1e-09, 0.999999999]; "
+            "boundary values break the scenario's non-orthogonality requirements\n",
+        )
+
     def test_unparseable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "mangled.json"
         path.write_text("{not json")

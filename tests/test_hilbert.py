@@ -625,3 +625,4 @@ def test_basis_vector_bounds():
     with pytest.raises(ValueError, match="dimension 3.0"):
         basis_vector(3.0, 1)
     assert basis_vector(np.int64(3), 1) == basis_vector(3, 1)
+    assert basis_vector(1, 0) == StateVector._of((1 + 0j,))  # the smallest dimension

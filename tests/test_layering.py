@@ -1,4 +1,5 @@
-"""Import layering: only the CLI names the scenarios, and each module imports alone."""
+"""Import layering: only the CLI names the scenarios, importing the CLI loads no numpy,
+and each module imports alone."""
 
 import os
 import pkgutil
@@ -30,6 +31,11 @@ def test_oracle_imports_no_scenario_module():
         "print(sorted({'contextnet.hardy3', 'contextnet.nonlocal4'} & set(sys.modules)))"
     )
     assert _python(code) == "[]\n"
+
+
+def test_the_cli_imports_without_numpy():
+    # sample and sweep import numpy when they run; verify and graph never do
+    assert _python("import sys, contextnet.cli\nprint('numpy' in sys.modules)") == "False\n"
 
 
 @pytest.mark.parametrize("module", MODULES)

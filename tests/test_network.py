@@ -173,8 +173,19 @@ class TestValidateRealization:
     def test_mixed_dimensions(self):
         assignment = {n: basis_vector(3, 0) for n in builtin_network(1).nodes}
         assignment["D2"] = basis_vector(2, 0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^assignment mixes dimensions \[2, 3\]$"):
             validate_realization(builtin_network(1), assignment)
+
+    def test_overlap_of_exactly_orth_tol(self):
+        # |<u|v>| is ORTH_TOL exactly: not below it, so an edge is broken, and
+        # at it, so a required non-edge holds
+        u, v = StateVector([1, 0]), StateVector([1e-10, 1])
+        assert abs(inner(u, v)) == ORTH_TOL
+        assignment = {"u": u, "v": v}
+        edge = ContextNetwork(("u", "v"), [("u", "v")])
+        assert validate_realization(edge, assignment) == [Violation("edge", ("u", "v"), ORTH_TOL)]
+        non_edge = ContextNetwork(("u", "v"), [], [("u", "v")])
+        assert validate_realization(non_edge, assignment) == []
 
     def test_nan_vector_breaks_every_pair_it_is_in(self):
         s = build_scenario(ScenarioParams(0.5, 0.5))

@@ -152,6 +152,16 @@ class TestSampleContext:
         with pytest.raises(EmptyTrials):
             sample_context(basis_vector(3, 0), central_context, seed=1, trials=0)
 
+    def test_one_trial_lands_on_one_outcome(self, center):
+        # the fewest trials the sampler takes
+        ctx = complete_context([center.f])
+        estimates = sample_context(center.n_f, ctx, seed=3, trials=1)
+        assert [e.trials for e in estimates] == [1, 1, 1]
+        assert sum(e.count for e in estimates) == 1
+        assert all(e.estimate in (0.0, 1.0) for e in estimates)
+        one = estimate(center, seed=3, trials=1)
+        assert one.estimate in (0.0, 1.0) and one.count == one.estimate
+
     def test_prep_of_another_dimension_rejected(self, central_context):
         with pytest.raises(DimensionMismatch):
             sample_context(basis_vector(4, 0), central_context, seed=1, trials=10)

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 
 import contextnet
-from contextnet import hardy3, hilbert, network, nonlocal4, report, scenario
+from contextnet import cli, hardy3, hilbert, nonlocal4
 from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
 from contextnet.hardy3 import verify_all as verify_hardy
 from contextnet.hilbert import (
@@ -438,28 +439,75 @@ def test_vectors_and_reports_do_not_depend_on_numpy_simd_or_blas():
     assert done.stdout.split() == [_digest(points), "False"]
 
 
-class _NoNumpy:
-    """Stands in for numpy in a module; any use fails the test."""
+#: Child-interpreter code: a finder first on ``sys.meta_path`` refuses numpy
+#: and its submodules; then one scenario is built, checked against its
+#: figure and reported, and ``cli.main`` runs each argv read from stdin.
+_WITHOUT_NUMPY = """\
+import contextlib, importlib.abc, io, json, re, sys
 
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} used on the per-point path")
+class RefuseNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"{name} is refused", name=name)
+
+sys.meta_path.insert(0, RefuseNumpy())
+from contextnet import cli, network, report
+
+job = json.load(sys.stdin)
+module = cli.SCENARIOS[job["scenario"]]
+s = module.build(module.PARAMS.from_dict(job["params"]))
+net = network.builtin_network(job["figure"])
+runs = []
+for argv in job["argvs"]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.getvalue()), err.getvalue()])
+print(json.dumps({
+    "violations": [str(v) for v in network.validate_realization(net, s.realization())],
+    "report": report.report_to_json(module.verify_all(s)),
+    "runs": runs,
+    "numpy loaded": "numpy" in sys.modules,
+}))
+"""
 
 
-@pytest.mark.parametrize("module,params,figure", [
-    (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1), 2),
-    (nonlocal4, LocalParams(0.3, 1.1), 4),
+@pytest.mark.parametrize("module,params,figures,out_of_domain", [
+    (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1), (1, 2), {"alpha": 1.0, "beta": 0.5}),
+    (nonlocal4, LocalParams(0.3, 1.1), (3, 4), {"a2": 1.0}),
 ], ids=["hardy3", "nonlocal4"])
-def test_the_per_point_path_makes_no_numpy_call(module, params, figure, monkeypatch):
-    net = network.builtin_network(figure)
-    s = module.build(params)
-    want = report_to_json(module.verify_all(s))
-    for m in (hilbert, hardy3, nonlocal4, network, scenario, report):
-        monkeypatch.setattr(m, "np", _NoNumpy(), raising=False)
-    with pytest.raises(AssertionError, match="np.asarray"):
-        StateVector([1.0])  # the stub is in place
-    s = module.build(params)
-    assert network.validate_realization(net, s.realization()) == []
-    assert report_to_json(module.verify_all(s)) == want
+def test_the_per_point_path_makes_no_numpy_call(
+    module, params, figures, out_of_domain, tmp_path, capsys
+):
+    # In a child where numpy cannot be imported, the build, the figure check,
+    # the report and the CLI's verify and graph give what they give here,
+    # with numpy loaded, and the child never loads numpy.
+    kind = module.__name__.rpartition(".")[2]
+    argvs = [["graph", "--figure", str(f)] for f in figures]
+    for name, doc in (("params", params.to_dict()), ("bad", out_of_domain)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argvs.append(["verify", kind, "--params", str(tmp_path / f"{name}.json")])
+    runs = []
+    for argv in argvs:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        runs.append([code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out), err])
+    assert [code for code, _, _ in runs] == [0] * (len(argvs) - 1) + [2]
+    want = {
+        "violations": [],
+        "report": report_to_json(module.verify_all(module.build(params))),
+        "runs": runs,
+        "numpy loaded": False,
+    }
+    job = {"scenario": kind, "params": params.to_dict(), "figure": figures[1], "argvs": argvs}
+    path = [os.path.dirname(contextnet.__path__[0]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], input=json.dumps(job),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == want
 
 
 @pytest.mark.parametrize("residuals", [(1e-16, math.nan), (math.nan, 1e-16), (0.0, math.nan, 1.0)])
