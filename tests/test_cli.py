@@ -556,6 +556,35 @@ class TestSample:
         assert exc.value.code == 2
         assert f"error: argument {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,params", [
+        ("hardy3", {"alpha": 0.2, "beta": 0.7, "phase_d1": 0.3, "phase_d2": -1.1}),
+        ("nonlocal4", {"a2": 0.37, "phase_a": 2.0}),
+    ], ids=["hardy3", "nonlocal4"])
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("trials", [10**3, 10**6], ids=["1e3", "1e6"])
+    def test_printed_count_is_the_multinomial_over_a_completed_basis(
+        self, tmp_path, capsys, kind, params, seed, trials
+    ):
+        # The reference count: the SAMPLED outcome completed to an orthonormal
+        # basis by this test's own SVD, and outcome 0 of one Philox
+        # multinomial over the normalised Born weights. It is drawn with the
+        # numpy under test, so no one version's stream is pinned.
+        module = cli.SCENARIOS[kind]
+        s = module.build(module.PARAMS.from_dict(params))
+        prep, outcome = (s.vectors[label].components for label in s.SAMPLED)
+        _, _, vh = np.linalg.svd(outcome[None, :])
+        weights = np.array([abs(np.vdot(b, prep)) ** 2 for b in [outcome, *vh[1:]]])
+        rng = np.random.Generator(np.random.Philox(seed))
+        count = int(rng.multinomial(trials, weights / weights.sum())[0])
+        e = count / trials
+        expected = {"estimate": e, "stderr": math.sqrt(e * (1.0 - e) / trials),
+                    "trials": trials, "seed": seed, "rng": "philox4x64"}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        assert main(["sample", kind, "--params", str(path),
+                     "--seed", str(seed), "--trials", str(trials)]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
 
 class TestGraph:
     @pytest.mark.parametrize("figure,nodes", [(1, 5), (2, 8), (3, 8), (4, 10)])
