@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 a relation residual exceeded the threshold,
 2 bad input (unparseable file or one that repeats a key, out-of-domain
-parameters, unwritable path),
+parameters, unwritable path) or ``sample`` or ``sweep`` without numpy,
 141 standard output was closed before the output was written (128 + SIGPIPE,
 as a shell reports a process that a broken pipe killed).
 
@@ -217,6 +217,11 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_graph(args.figure)
     except BrokenPipeError:
         raise  # a closed stdout is not bad input; ``run`` handles it
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy", file=sys.stderr)
+        return 2
     except (ContextNetError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,10 +27,6 @@ class MissingAssignment(ContextNetError):
     """A network node has no vector assigned to it."""
 
 
-class IncompleteContext(ContextNetError):
-    """Outcome vectors do not form a complete orthonormal measurement basis."""
-
-
 class EmptyTrials(ContextNetError):
     """Sampling needs a positive number of trials."""
 

@@ -5,9 +5,7 @@ Everything operates on immutable complex vectors in fixed finite dimension
 
 * ``NORM_CHECK_TOL`` (1e-10) for ``StateVector.is_normalized``, the one
   unit-norm check,
-* ``ORTH_TOL`` (1e-10) for orthogonality, rank and Gram-determinant
-  decisions; the one check of an orthonormal basis is
-  ``MeasurementContext``, which ``complete_context`` returns,
+* ``ORTH_TOL`` (1e-10) for orthogonality and Gram-determinant decisions,
 * ``PROBABILITY_SLACK`` (5e-10) for round-off spill outside [0, 1].
 
 The arithmetic on vectors is Python's: a ``StateVector`` holds a tuple of
@@ -15,18 +13,15 @@ Python ``complex``, and ``inner``, ``tensor``, ``cofactor``,
 ``orthogonal_complement``, ``canonical_phase`` and every norm are IEEE
 ``+ - * /`` on them, each sum added left to right (``sum`` of floats rounds
 differently from Python 3.12 on). No numpy or BLAS kernel, whose SIMD and
-FMA paths depend on the host, touches a vector on its way from parameters to
-report, so the bits are the same on every host. numpy stays where it is the
-interface or has no small equivalent: the array-like constructor, the
-read-only ``components`` array and ``repr``, and ``complete_context``'s SVD.
-The module imports numpy only inside those functions, so importing it, and
-building and reporting a scenario, loads no numpy.
+FMA paths depend on the host, touches a vector, so the bits are the same on
+every host. numpy stays only where it is the interface: the array-like
+constructor, the read-only ``components`` array and ``repr``. The module
+imports numpy only inside those functions, so importing it, and building
+and reporting a scenario, loads no numpy.
 
 The vector orthogonal to n - 1 given ones of dimension n, which fixes each
-derived outcome, is their ``cofactor`` product, written out over numbers; only
-``complete_context``, whose completion of a basis has no unique answer,
-takes an SVD. Constructions defined only up to a global phase (orthogonal
-complements, basis completions) are made deterministic by the phase canon
+derived outcome, is their ``cofactor`` product, written out over numbers.
+Its global phase is made deterministic by the phase canon
 ``first-nonzero-real-positive``: the first component with magnitude above
 ``ORTH_TOL`` is rotated onto the positive real axis. Re-running any
 construction on identical input is bit-identical.
@@ -37,9 +32,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from .errors import DegenerateSpan, DimensionMismatch, IncompleteContext, NotNormalized
+from .errors import DegenerateSpan, DimensionMismatch, NotNormalized
 
 ORTH_TOL = 1e-10
 PHASE_CANON = "first-nonzero-real-positive"
@@ -291,13 +285,6 @@ def cofactor(rows):
     ]
 
 
-def _require_dim(vectors: Sequence[StateVector], dim: int) -> None:
-    """Raise ``DimensionMismatch`` naming the first input not of dimension ``dim``."""
-    for i, v in enumerate(vectors):
-        if v.dim != dim:
-            raise DimensionMismatch(f"input {i} is of dimension {v.dim}, expected {dim}")
-
-
 def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
     """Unit vector orthogonal to every input, canonically phased.
 
@@ -315,7 +302,10 @@ def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
         ValueError: from ``cofactor``, if there are no inputs or more than 3.
     """
     vectors = tuple(vectors)
-    _require_dim(vectors, len(vectors) + 1)
+    n = len(vectors) + 1
+    for i, v in enumerate(vectors):
+        if v.dim != n:
+            raise DimensionMismatch(f"input {i} is of dimension {v.dim}, expected {n}")
     c = cofactor([v._components for v in vectors])
     gram = squared_norm(c)
     if not ORTH_TOL < gram < math.inf:  # NaN too
@@ -324,76 +314,3 @@ def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
         )
     norm = math.sqrt(gram)
     return StateVector._of(canonical_phase([z / norm for z in c]))
-
-
-@dataclass(frozen=True)
-class MeasurementContext:
-    """A complete orthonormal basis; each vector is one outcome.
-
-    The one orthonormality check: ``dim`` outcomes that pass ``is_normalized``,
-    with every |<u|v>| below ``ORTH_TOL`` (a NaN is not), are complete. With
-    Gram matrix I + E their projector sum, of spectrum I + E, is within
-    ``dim * max|E_ij|`` of the identity in every entry; nothing else is tested.
-    """
-
-    outcomes: tuple[StateVector, ...]
-
-    def __post_init__(self) -> None:
-        outcomes = tuple(self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
-        if not outcomes:
-            raise IncompleteContext("a measurement context needs at least one outcome")
-        n = len(outcomes)
-        if any(o.dim != n for o in outcomes):  # a basis of n outcomes in dimension n
-            raise IncompleteContext(f"{n} outcomes must each be of dimension {n}")
-        if not all(o.is_normalized() for o in outcomes):
-            raise IncompleteContext("outcomes are not unit vectors")
-        for i, u in enumerate(outcomes):
-            for v in outcomes[i + 1:]:
-                if not abs(inner(u, v)) < ORTH_TOL:
-                    raise IncompleteContext("outcomes are not mutually orthogonal")
-
-    @property
-    def dim(self) -> int:
-        return self.outcomes[0].dim
-
-
-def complete_context(vectors: Sequence[StateVector]) -> MeasurementContext:
-    """Deterministically extend orthonormal vectors to a full measurement context.
-
-    The context's dimension is the first input's; every input must share it.
-
-    One SVD of the inputs gives their rank, the number of squared singular
-    values (the Gram eigenvalues, basis-independent) above ``ORTH_TOL``, and
-    rows ``rank:`` of ``vh``, an orthonormal basis of their complement. The
-    rank is counted from the Python floats of ``sv``: ``x * x`` is the IEEE
-    product that ``sv * sv`` takes. The new vectors are those rows,
-    canonically phased, so the completion is reproducible bit for bit. The
-    context's outcomes start with the inputs, unchanged, and
-    ``MeasurementContext`` checks them all.
-
-    Raises:
-        IncompleteContext: if there are no inputs, or they are not unit
-            norm, not mutually orthogonal (some |<u|v>| is not below
-            ``ORTH_TOL``) or not independent.
-        DimensionMismatch: naming the first input not of the first one's
-            dimension.
-        DegenerateSpan: if some input is not finite.
-    """
-    import numpy as np
-
-    vecs = list(vectors)
-    if not vecs:
-        raise IncompleteContext("a measurement context needs at least one input")
-    _require_dim(vecs, vecs[0].dim)
-    m = np.array([v._components for v in vecs], np.complex128)
-    try:
-        _, sv, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # raised for NaN inputs
-        raise DegenerateSpan(f"inputs cannot be decomposed: {exc}") from exc
-    values = sv.tolist()
-    if math.isnan(sum(values)):  # an infinite input gives NaN singular values
-        raise DegenerateSpan("inputs are not finite")
-    rank = sum(x * x > ORTH_TOL for x in values)
-    completion = (StateVector._of(canonical_phase(row)) for row in vh[rank:].tolist())
-    return MeasurementContext((*vecs, *completion))

@@ -140,21 +140,25 @@ def _aa_nf(x):
 def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
     """Singular values (descending) of a dimension-4 vector as a 2x2 array.
 
-    The vector is read in the fixed product ordering (00, 01, 10, 11). A
+    The vector is read in the fixed product ordering (00, 01, 10, 11) as C.
+    With a and d the squared norms of C's rows and b their inner product,
+    the larger value is sqrt((a + d + hypot(a - d, 2|b|)) / 2) and the
+    smaller |det C| over it, so neither cancels when the two are close. A
     second value above round-off means the state is entangled.
 
     Raises:
         DimensionMismatch: if the vector is not of dimension 4.
         DegenerateSpan: if the vector is not finite.
     """
-    import numpy as np
-
     if v.dim != 4:
         raise DimensionMismatch(f"need a dimension-4 vector, got {v.dim}")
-    if not np.isfinite(v.components).all():
-        raise DegenerateSpan(f"{v!r} is not finite")
-    sv = np.linalg.svd(v.components.reshape(2, 2), compute_uv=False)
-    return float(sv[0]), float(sv[1])
+    c00, c01, c10, c11 = c = v._components
+    if not all(cmath.isfinite(z) for z in c):
+        raise DegenerateSpan(f"components {c} are not finite")
+    a, d = squared_norm((c00, c01)), squared_norm((c10, c11))
+    b = c00 * c10.conjugate() + c01 * c11.conjugate()
+    largest = math.sqrt((a + d + math.hypot(a - d, 2 * abs(b))) / 2)
+    return largest, abs(c00 * c11 - c01 * c10) / largest if largest else 0.0
 
 
 def verify_all(s: NonlocalScenario) -> RelationReport:

@@ -1,11 +1,11 @@
-"""Statistical cross-check: Born-rule sampling of a measurement context.
+"""Statistical cross-check: Born-rule sampling of one outcome against the rest.
 
-Sampling uses numpy's Philox bit generator (counter-based, seedable), so
-every estimate is reproducible from its recorded seed and the generator
-name travels with the estimate. Counts partition the trial budget exactly,
-which makes estimates from disjoint runs mergeable by summing counts.
-The oracle only samples: a context is a ``hilbert.MeasurementContext``,
-checked when it was built.
+A paradox probability is one overlap of a prepared state with one outcome,
+so the oracle draws that outcome's count as one binomial on numpy's Philox
+bit generator (counter-based, seedable). Every estimate is reproducible
+from its recorded seed, and the generator name travels with it. The count
+and the trials left over partition the trial budget, so estimates from
+disjoint runs merge by summing counts.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import EmptyTrials
-from .hilbert import MeasurementContext, StateVector, born_probability, complete_context
+from .hilbert import StateVector, born_probability
 from .scenario import Scenario
 
 RNG_NAME = "philox4x64"
 
-#: The largest trial count numpy's multinomial sampler takes (a C int64).
+#: The largest trial count numpy's binomial sampler takes (a C int64).
 MAX_TRIALS = 2**63 - 1
 
 #: The largest seed: a seed is an unsigned 64-bit integer, so every recorded seed fits one.
@@ -29,7 +29,7 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class SampleEstimate:
-    """Frequency estimate for one outcome of a sampled context."""
+    """Frequency estimate for one sampled outcome."""
 
     estimate: float
     standard_error: float
@@ -48,23 +48,21 @@ class SampleEstimate:
 
 
 def sample_context(
-    prep: StateVector, ctx: MeasurementContext, seed: int, trials: int
-) -> list[SampleEstimate]:
-    """Sample the context's outcome frequencies for the prepared state.
+    prep: StateVector, outcome: StateVector, seed: int, trials: int
+) -> SampleEstimate:
+    """Estimate how often ``outcome`` is obtained on the prepared state ``prep``.
 
-    Draws one multinomial sample of size ``trials`` from the analytic Born
-    distribution, so the per-outcome counts partition ``trials`` exactly
-    and the run is reproducible for a fixed seed. ``ctx`` was checked for
-    completeness when it was constructed.
+    Draws one binomial of size ``trials`` with the Born probability of
+    ``outcome``: its count and ``trials - count``, the rest of any context
+    that holds it, partition the trials, and a fixed seed repeats the run.
 
     Raises:
         TypeError: if ``seed`` or ``trials`` is not an integer (a bool is not).
         ValueError: if ``seed`` lies outside [0, ``MAX_SEED``].
         EmptyTrials: if ``trials`` < 1.
         ValueError: if ``trials`` > ``MAX_TRIALS``.
-        DimensionMismatch: if ``prep`` and the context's outcomes differ in
-            dimension (from ``born_probability``).
-        NotNormalized: if ``prep`` is not unit norm (from ``born_probability``).
+        DimensionMismatch: if the dimensions differ (from ``born_probability``).
+        NotNormalized: if either vector is not unit norm (from ``born_probability``).
     """
     import numpy as np
 
@@ -78,22 +76,13 @@ def sample_context(
         raise EmptyTrials(f"trials={trials}; need at least 1")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials={trials}; the sampler takes at most {MAX_TRIALS}")
-    probs = np.array([born_probability(prep, o) for o in ctx.outcomes])
-    probs = probs / probs.sum()  # exact simplex point for the sampler
-    rng = np.random.Generator(np.random.Philox(seed))
-    estimates = []
-    for count in rng.multinomial(trials, probs).tolist():  # Python ints
-        e = count / trials
-        estimates.append(SampleEstimate(e, math.sqrt(e * (1.0 - e) / trials), trials, seed, count))
-    return estimates
+    p = born_probability(prep, outcome)
+    count = int(np.random.Generator(np.random.Philox(seed)).binomial(trials, p))
+    e = count / trials
+    return SampleEstimate(e, math.sqrt(e * (1.0 - e) / trials), trials, seed, count)
 
 
 def estimate(scenario: Scenario, seed: int, trials: int) -> SampleEstimate:
-    """Sampled frequency of the ``SAMPLED`` outcome of any built scenario.
-
-    Prepares the first vector of ``SAMPLED``, completes the second to a full
-    context and returns the estimate for that outcome.
-    """
+    """Sampled frequency of the second ``SAMPLED`` vector of any built scenario on the first."""
     prep, outcome = (scenario.vectors[label] for label in scenario.SAMPLED)
-    return sample_context(prep, complete_context([outcome]), seed, trials)[0]
-
+    return sample_context(prep, outcome, seed, trials)

@@ -376,6 +376,8 @@ class TestSweep:
         ("0.1,0.9999999999999", "0.1,0.5", "error: alpha=0.9999999999999"),
         # a cell-by-cell loop meets every beta before the second alpha
         ("0.1,0.9999999999999", "1e-12,0.5", "error: beta=1e-12"),
+        # of two alphas out of domain, the earlier one is named
+        ("0.5,1.5", "0.1,0.5", "error: alpha=1.0 "),
     ])
     def test_out_of_domain_error_names_the_first_bad_cell(
             self, tmp_path, capsys, alpha_range, beta_range, prefix):
@@ -640,8 +642,10 @@ class TestJsonText:
     def test_printed_bytes_are_pinned(self, tmp_path, capsys, argv, params, digest):
         # The sha256 of stdout with the timestamp's value emptied. Every phase
         # is 0, so no libm cos or sin enters the bytes; sample is left out, as
-        # numpy does not promise its sampler's stream across versions. The
-        # report carries tool_version, so a version bump changes the digests.
+        # numpy does not promise its sampler's stream across versions (TestSample
+        # checks its count against a multinomial drawn with the numpy under
+        # test). The report carries tool_version, so a version bump changes
+        # the digests.
         if params is not None:
             path = tmp_path / "params.json"
             path.write_text(json.dumps(params))

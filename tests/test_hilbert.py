@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextnet import hilbert
-from contextnet.errors import DegenerateSpan, DimensionMismatch, IncompleteContext, NotNormalized
+from contextnet.errors import DegenerateSpan, DimensionMismatch, NotNormalized
 from contextnet.hilbert import (
+    NORM_CHECK_TOL,
     ORTH_TOL,
-    MeasurementContext,
+    PROBABILITY_SLACK,
     StateVector,
     basis_vector,
     born_probability,
     canonical_phase,
     clamp_probability,
     cofactor,
-    complete_context,
     inner,
     orthogonal_complement,
     tensor,
@@ -114,6 +114,20 @@ class TestStateVector:
         assert (v.norm(), v.norm(), v.is_normalized()) == (5.0, 5.0, False)
         assert len(calls) == 1
 
+    def test_norm_deviation_of_exactly_the_tolerance_is_accepted(self, monkeypatch):
+        # A norm near 1 lies a multiple of 2**-53 from it, which 1e-10 is not
+        # (0x1.b7cdfd9d7bdbbp-34), so no vector deviates by exactly
+        # NORM_CHECK_TOL; the nearest doubles sit on either side of it. The
+        # tolerance is set to 2**-33, which both norms below reach exactly.
+        inside = 1 + math.floor(NORM_CHECK_TOL * 2**52) * 2**-52
+        assert StateVector([inside]).is_normalized()
+        assert not StateVector([inside + 2**-52]).is_normalized()
+        monkeypatch.setattr(hilbert, "NORM_CHECK_TOL", 2**-33)
+        for norm, beyond in ((1 + 2**-33, 1 + 2**-33 + 2**-52), (1 - 2**-33, 1 - 2**-33 - 2**-53)):
+            assert StateVector([0.0, norm]).norm() == norm
+            assert StateVector([0.0, norm]).is_normalized()
+            assert not StateVector([0.0, beyond]).is_normalized()
+
     def test_constructor_copies_its_input(self):
         a = np.array([1.0, 0.0], dtype=np.complex128)
         v = StateVector(a)
@@ -154,7 +168,6 @@ def _made_vectors():
         "basis_vector": basis_vector(4, 1),
         "tensor": tensor(u, w),
         "orthogonal_complement": orthogonal_complement([e0, _normalized([0.0, 1.0, 1.0j])]),
-        "complete_context": complete_context([w]).outcomes[2],
     }
 
 
@@ -265,6 +278,14 @@ class TestClampProbability:
         assert clamp_probability(1.0 + 5e-13) == 1.0
         assert clamp_probability(-5e-13) == 0.0
         assert clamp_probability(0.3) == 0.3
+
+    def test_accepts_a_spill_of_exactly_the_slack(self):
+        assert clamp_probability(-PROBABILITY_SLACK) == 0.0
+        assert clamp_probability(1.0 + PROBABILITY_SLACK) == 1.0
+        for beyond in (math.nextafter(-PROBABILITY_SLACK, -1.0),
+                       math.nextafter(1.0 + PROBABILITY_SLACK, 2.0)):
+            with pytest.raises(ValueError, match="outside"):
+                clamp_probability(beyond)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -537,77 +558,6 @@ class TestCanonicalPhase:
                 got = canonical_phase(c)
                 assert type(got) is tuple
                 assert [_hex(z) for z in got] == [_hex(x * phase) for x in c]
-
-
-class TestCompleteContext:
-    def test_completes_to_full_basis(self):
-        f = _normalized([1.0, 1.0, 1.0])
-        basis = complete_context([f]).outcomes
-        assert len(basis) == 3
-        assert basis[0] == f
-        for i, u in enumerate(basis):
-            assert abs(u.norm() - 1.0) < 1e-12
-            for v in basis[i + 1:]:
-                assert abs(inner(u, v)) < 1e-10
-
-    def test_deterministic(self):
-        f = _normalized([0.5, 0.5j, -0.5, 0.5])
-        a = complete_context([f]).outcomes
-        b = complete_context([f]).outcomes
-        for u, v in zip(a, b):
-            assert np.array_equal(u.components, v.components)
-
-    def test_completes_two_inputs_in_dimension_4(self):
-        u = _normalized([1.0, 1.0j, 0.0, 1.0])
-        v = _normalized([1.0, 0.0, 1.0, -1.0])
-        basis = complete_context([u, v]).outcomes
-        assert len(basis) == 4
-        assert basis[0] == u and basis[1] == v
-        m = np.array([b.components for b in basis])
-        assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
-        for b in basis[2:]:
-            lead = next(c for c in b.components if abs(c) > 1e-10)
-            assert lead.real > 0 and abs(lead.imag) < 1e-15
-        again = complete_context([u, v]).outcomes
-        assert all(np.array_equal(a.components, b.components) for a, b in zip(basis, again))
-
-    def test_rejects_non_orthogonal_inputs(self):
-        u = _normalized([1.0, 1.0])
-        with pytest.raises(IncompleteContext, match="mutually orthogonal"):
-            complete_context([u, basis_vector(2, 0)])
-
-    def test_rejects_unnormalized_inputs(self):
-        with pytest.raises(IncompleteContext, match="unit vectors"):
-            complete_context([StateVector([2.0, 0.0])])
-
-    def test_returns_the_checked_context_starting_with_its_inputs(self):
-        u, v = _normalized([1.0, 1.0j, 0.0, 1.0]), _normalized([1.0, 0.0, 1.0, -1.0])
-        for inputs in ([u], [u, v], [basis_vector(4, i) for i in range(4)]):
-            ctx = complete_context(inputs)
-            assert type(ctx) is MeasurementContext and ctx.dim == 4
-            assert ctx.outcomes[:len(inputs)] == tuple(inputs)
-            assert MeasurementContext(ctx.outcomes) == ctx
-
-    def test_dependent_inputs_fail_the_count_check(self):
-        # a duplicate or a combination adds one outcome too many to the context
-        e0, e1 = basis_vector(3, 0), basis_vector(3, 1)
-        for inputs in ([e0, e0], [e0, e1, _normalized([1.0, 1.0, 0.0])]):
-            with pytest.raises(IncompleteContext, match="4 outcomes must each be of dimension 4"):
-                complete_context(inputs)
-
-    def test_rejects_wrong_dimension(self):
-        inputs = [basis_vector(3, 0), basis_vector(3, 1), basis_vector(2, 0)]
-        with pytest.raises(DimensionMismatch, match="^input 2 is of dimension 2, expected 3$"):
-            complete_context(inputs)
-
-    def test_rejects_no_inputs(self):
-        with pytest.raises(IncompleteContext, match="at least one input"):
-            complete_context([])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_inputs(self, bad):
-        with pytest.raises(DegenerateSpan):
-            complete_context([StateVector([bad, 0.0, 0.0])])
 
 
 def test_basis_vector_bounds():

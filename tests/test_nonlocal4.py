@@ -20,6 +20,7 @@ from contextnet.nonlocal4 import (
     schmidt_coefficients,
     verify_all,
 )
+from test_scenario import make_points
 
 interior = st.floats(min_value=0.01, max_value=0.99)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
@@ -182,9 +183,23 @@ class TestSchmidt:
 
     def test_maximally_entangled(self):
         bell = StateVector([0.0, SQRT_HALF, SQRT_HALF, 0.0])
-        first, second = schmidt_coefficients(bell)
-        assert first == pytest.approx(SQRT_HALF, abs=1e-12)
-        assert second == pytest.approx(SQRT_HALF, abs=1e-12)
+        for value in schmidt_coefficients(bell):
+            assert abs(value - SQRT_HALF) <= math.ulp(SQRT_HALF)
+
+    def test_basis_ket_is_exactly_one_and_zero(self):
+        for ket in PRODUCT_BASIS:
+            assert schmidt_coefficients(ket) == (1.0, 0.0)
+        assert schmidt_coefficients(StateVector([0.0] * 4)) == (0.0, 0.0)
+
+    def test_matches_the_svd_over_seeded_points(self):
+        # every vector of the nonlocal4 points of make_points(2024, 20000),
+        # a fifth of them within 1e-3 of a2 = 1
+        vectors = [v for p in make_points(2024, 20000)[1::2]
+                   for v in build_nonlocal(p).vectors.values()]
+        got = np.array([schmidt_coefficients(v) for v in vectors])
+        svd = np.linalg.svd(np.array([v.components.reshape(2, 2) for v in vectors]),
+                            compute_uv=False)
+        assert np.abs(got - svd).max() <= 2e-15
 
     def test_fnl_is_entangled(self, center):
         assert schmidt_coefficients(center.f_nl)[1] > 1e-10
