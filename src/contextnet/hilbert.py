@@ -238,8 +238,9 @@ def canonical_phase(components: Sequence[complex]) -> tuple[complex, ...]:
     Python complex component is multiplied by ``conj(c) / |c|``.
     """
     for c in components:
-        if abs(c) > ORTH_TOL:
-            phase = c.conjugate() / abs(c)
+        magnitude = abs(c)
+        if magnitude > ORTH_TOL:
+            phase = c.conjugate() / magnitude
             return tuple([z * phase for z in components])
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
@@ -262,7 +263,7 @@ def cofactor(rows):
         ValueError: if the rows are not 1 to 3 rows of ``len(rows) + 1`` entries.
     """
     n = len(rows) + 1
-    if n not in (2, 3, 4) or any(len(row) != n for row in rows):
+    if n not in (2, 3, 4) or set(map(len, rows)) != {n}:
         raise ValueError(f"need 1 to 3 rows of one more entry each, got {len(rows)} rows")
     if n == 2:
         ((u0, u1),) = rows
@@ -301,12 +302,12 @@ def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
             ``ORTH_TOL`` (dependent or non-finite inputs).
         ValueError: from ``cofactor``, if there are no inputs or more than 3.
     """
-    vectors = tuple(vectors)
-    n = len(vectors) + 1
-    for i, v in enumerate(vectors):
-        if v.dim != n:
-            raise DimensionMismatch(f"input {i} is of dimension {v.dim}, expected {n}")
-    c = cofactor([v._components for v in vectors])
+    rows = [v._components for v in vectors]
+    n = len(rows) + 1
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DimensionMismatch(f"input {i} is of dimension {len(row)}, expected {n}")
+    c = cofactor(rows)
     gram = squared_norm(c)
     if not ORTH_TOL < gram < math.inf:  # NaN too
         raise DegenerateSpan(

@@ -162,19 +162,19 @@ def validate_realization(
     missing = [n for n in net.nodes if n not in assignment]
     if missing:
         raise MissingAssignment(f"no vector assigned to node(s): {missing}")
-    dims = {assignment[n].dim for n in net.nodes}
+    dims = {len(assignment[n]._components) for n in net.nodes}
     if len(dims) > 1:
         raise DimensionMismatch(f"assignment mixes dimensions {sorted(dims)}")
-
-    def magnitudes(pairs):
-        return [(pair, abs(inner(assignment[pair[0]], assignment[pair[1]]))) for pair in pairs]
-
     # Written as "not below" and "not at or above", so a NaN overlap breaks both.
-    violations = [Violation("edge", p, o) for p, o in magnitudes(net.edges) if not o < ORTH_TOL]
-    violations += [
-        Violation("non_edge", p, o)
-        for p, o in magnitudes(net.required_non_edges) if not o >= ORTH_TOL
-    ]
+    violations = []
+    for a, b in net.edges:
+        o = abs(inner(assignment[a], assignment[b]))
+        if not o < ORTH_TOL:
+            violations.append(Violation("edge", (a, b), o))
+    for a, b in net.required_non_edges:
+        o = abs(inner(assignment[a], assignment[b]))
+        if not o >= ORTH_TOL:
+            violations.append(Violation("non_edge", (a, b), o))
     return violations
 
 

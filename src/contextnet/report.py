@@ -76,12 +76,6 @@ class RelationReport:
         raise KeyError(rel_id)
 
 
-def _scalar_to_json(x: Scalar) -> Union[float, list[float]]:
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return float(x)
-
-
 def report_to_json(report: RelationReport, timestamp: str | None = None) -> dict:
     """Serialize a report; complex scalars become [re, im] pairs.
 
@@ -94,17 +88,19 @@ def report_to_json(report: RelationReport, timestamp: str | None = None) -> dict
     }
     if timestamp is not None:
         metadata["timestamp"] = timestamp
+    relations = []
+    for r in report.relations:
+        # isinstance, not a type test, so that a numpy.complex128 is a pair too
+        f, d = r.formula_value, r.direct_value
+        relations.append({
+            "id": r.id,
+            "formula": [f.real, f.imag] if isinstance(f, complex) else float(f),
+            "direct": [d.real, d.imag] if isinstance(d, complex) else float(d),
+            "residual": r.residual,
+        })
     return {
         "params": dict(report.params),
-        "relations": [
-            {
-                "id": r.id,
-                "formula": _scalar_to_json(r.formula_value),
-                "direct": _scalar_to_json(r.direct_value),
-                "residual": r.residual,
-            }
-            for r in report.relations
-        ],
+        "relations": relations,
         "phase_canon": PHASE_CANON,
         "metadata": metadata,
     }

@@ -4,7 +4,9 @@ Each body is written with int literals, so on ``fractions.Fraction``
 arguments it computes the exact rational value, with no rounding to hide
 a wrong sign or constant. ``hilbert.cofactor`` uses only ``+ - *`` and
 ``.conjugate()``, so on Gaussian rationals it builds the scenarios' derived
-vectors exactly, unnormalised, and the relations hold with no tolerance.
+vectors exactly, unnormalised. Every row of both ``verify_all`` tables then
+holds with no tolerance (a relation stated for unit vectors after dividing
+by <x|x>), and so does every pair constraint of Figures 2 and 4.
 """
 
 import itertools
@@ -14,7 +16,10 @@ from fractions import Fraction as F
 import pytest
 
 from contextnet import hardy3, nonlocal4
+from contextnet.hardy3 import HardyScenario
 from contextnet.hilbert import cofactor
+from contextnet.network import NETWORKS
+from contextnet.nonlocal4 import NonlocalScenario
 
 POINTS = [F(1, 2), F(1, 3), F(9, 25), F(25, 169), F(1, 10**6), F(10**6 - 1, 10**6)]
 
@@ -133,42 +138,106 @@ def test_cofactor_is_exactly_orthogonal_with_the_gram_determinant_as_norm(dim):
         assert _det([[_inner(u, v) for v in rows] for u in rows]) == _norm2(c)
 
 
-def test_hardy3_relations_hold_exactly_on_cofactor_vectors():
-    # alpha = (3/5)^2 and beta = (5/13)^2 with phases (3+4i)/5 and (5+12i)/13:
-    # D1 and D2 have Gaussian-rational components and norm exactly 1
-    a, b = F(9, 25), F(25, 169)
+A, B = F(9, 25), F(25, 169)  # hardy3's alpha = (3/5)^2 and beta = (5/13)^2
+A2 = F(9, 25)  # nonlocal4's a2 = (3/5)^2
+
+
+def _hardy3_vectors():
+    """hardy3's vectors at (A, B) by ``LABELS`` attribute, the derived four unnormalised.
+
+    With phases (3+4i)/5 and (5+12i)/13, D1 and D2 have Gaussian-rational
+    components and norm exactly 1.
+    """
     k1, k2, k3 = (_basis(3, i) for i in range(3))
     d1 = [Q(0), Q(F(4, 5)), Q(F(3, 5), F(4, 5)) * F(3, 5)]
     d2 = [Q(F(12, 13)), Q(0), Q(F(5, 13), F(12, 13)) * F(5, 13)]
-    assert _norm2(d1) == _norm2(d2) == 1
     s1, s2, n_f = cofactor([k1, d1]), cofactor([k2, d2]), cofactor([d1, d2])
     f = cofactor([s1, s2])
-    for v, inputs in ((s1, (k1, d1)), (s2, (k2, d2)), (n_f, (d1, d2)), (f, (s1, s2))):
-        assert all(_inner(u, v) == 0 for u in inputs)
-    assert _inner(d1, k3) * _inner(k3, d2) == _inner(d1, d2)  # eq3
-    assert -(_inner(f, k3) * _inner(k3, n_f)) == _inner(f, n_f)  # eq9
-    assert _overlap2(k3, n_f) == hardy3._nf3(a, b)  # eq12
-    assert _overlap2(f, k3) == hardy3._f3(a, b)  # eq15
-    assert _overlap2(f, n_f) == F(648, 9605) == hardy3._paradox(a, b)  # eq16
+    return dict(k1=k1, k2=k2, k3=k3, d1=d1, d2=d2, s1=s1, s2=s2, f=f, n_f=n_f)
 
 
-def test_nonlocal4_relations_hold_exactly_on_cofactor_vectors():
-    a2 = F(9, 25)
+def _tensor(u, v):
+    return [x * y for x in u for y in v]
+
+
+def _nonlocal4_vectors():
+    """nonlocal4's vectors at A2 by ``LABELS`` attribute, f_NL and N_f unnormalised.
+
+    With phase (3+4i)/5, a and b (kept as ``ka`` and ``kb``) are exact unit
+    vectors.
+    """
     k0, k1 = _basis(2, 0), _basis(2, 1)
     ka = [Q(F(3, 5), F(4, 5)) * F(3, 5), Q(F(4, 5))]
     kb = cofactor([ka])
+    ka0, k0a, kb0, k0b = _tensor(ka, k0), _tensor(k0, ka), _tensor(kb, k0), _tensor(k0, kb)
+    k11 = _tensor(k1, k1)
+    return dict(
+        ka=ka, kb=kb, k00=_tensor(k0, k0), k01=_tensor(k0, k1), k10=_tensor(k1, k0), k11=k11,
+        ka0=ka0, k0a=k0a, kb0=kb0, k0b=k0b, kaa=_tensor(ka, ka),
+        f_nl=cofactor([kb0, k0b, k11]), n_f=cofactor([ka0, k0a, k11]),
+    )
+
+
+def test_hardy3_relations_hold_exactly_on_cofactor_vectors():
+    k1, k2, k3, d1, d2, s1, s2, f, n_f = _hardy3_vectors().values()
+    assert _norm2(d1) == _norm2(d2) == 1
+    for u, inputs in ((s1, (k1, d1)), (s2, (k2, d2)), (n_f, (d1, d2)), (f, (s1, s2))):
+        assert all(_inner(w, u) == 0 for w in inputs)
+    assert _inner(d1, k3) * _inner(k3, d2) == _inner(d1, d2)  # eq3
+    # eq6, linear in f: f = D1 <D1|f> + D2 <D2|f> - 3 <3|f>
+    d1_f, d2_f, k3_f = _inner(d1, f), _inner(d2, f), _inner(k3, f)
+    assert f == [x * d1_f + y * d2_f - z * k3_f for x, y, z in zip(d1, d2, k3)]
+    assert -(_inner(f, k3) * _inner(k3, n_f)) == _inner(f, n_f)  # eq9
+    assert -(_inner(d2, k3) * _inner(k3, n_f)) == _inner(d2, k1) * _inner(k1, n_f)  # eq10a
+    assert -(_inner(d1, k3) * _inner(k3, n_f)) == _inner(d1, k2) * _inner(k2, n_f)  # eq10b
+    assert _overlap2(k1, n_f) == B / (1 - B) * hardy3._nf3(A, B)  # eq11a
+    assert _overlap2(k2, n_f) == A / (1 - A) * hardy3._nf3(A, B)  # eq11b
+    assert _overlap2(k3, n_f) == hardy3._nf3(A, B)  # eq12
+    assert _inner(f, d1) * _inner(d1, k3) == _inner(f, k3)  # eq13a
+    assert _inner(f, d2) * _inner(d2, k3) == _inner(f, k3)  # eq13b
+    assert _overlap2(f, d1) + _overlap2(f, d2) - _overlap2(f, k3) == 1  # eq14
+    assert _overlap2(f, k3) == hardy3._f3(A, B)  # eq15
+    assert _overlap2(f, n_f) == F(648, 9605) == hardy3._paradox(A, B)  # eq16
+
+
+def test_nonlocal4_relations_hold_exactly_on_cofactor_vectors():
+    ka, kb, _, _, _, k11, ka0, k0a, kb0, k0b, kaa, f_nl, n_f = _nonlocal4_vectors().values()
     assert _norm2(ka) == _norm2(kb) == 1 and _inner(ka, kb) == 0
-
-    def tensor(u, v):
-        return [x * y for x in u for y in v]
-
-    ka0, k0a, kb0, k0b = tensor(ka, k0), tensor(k0, ka), tensor(kb, k0), tensor(k0, kb)
-    k11, kaa = tensor(k1, k1), tensor(ka, ka)
-    f_nl, n_f = cofactor([kb0, k0b, k11]), cofactor([ka0, k0a, k11])
     assert all(_inner(u, f_nl) == 0 for u in (kb0, k0b, k11))
     assert all(_inner(u, n_f) == 0 for u in (ka0, k0a, k11))
-    assert _overlap2(f_nl, n_f) == nonlocal4._fnl_nf(a2)  # eq17
-    assert _overlap2(f_nl, kaa) == nonlocal4._faa(a2)  # eq19
+    assert _overlap2(f_nl, n_f) == nonlocal4._fnl_nf(A2)  # eq17
+    # eq18 for the unnormalised f_NL, times <f_NL|f_NL>:
+    # a,a <f_NL|f_NL> = f_NL <f_NL|a,a> + 1,1 <1,1|a,a> <f_NL|f_NL>;
+    # its second term, the factorization of <a,a|N_f>, is eq20
+    fnl_aa, k11_aa, fnl2 = _inner(f_nl, kaa), _inner(k11, kaa), _norm2(f_nl)
+    assert [x * fnl2 for x in kaa] == [y * fnl_aa + z * k11_aa * fnl2 for y, z in zip(f_nl, k11)]
+    assert _overlap2(f_nl, kaa) == nonlocal4._faa(A2)  # eq19
     # eq20 for the unnormalised f_NL: <a,a|f_NL><f_NL|N_f> = <a,a|N_f> <f_NL|f_NL>
-    assert _inner(kaa, f_nl) * _inner(f_nl, n_f) == _inner(kaa, n_f) * _norm2(f_nl)
-    assert _overlap2(kaa, n_f) == F(648, 10625) == nonlocal4._aa_nf(a2)  # eq21
+    assert _inner(kaa, f_nl) * _inner(f_nl, n_f) == _inner(kaa, n_f) * fnl2
+    assert _overlap2(kaa, n_f) == F(648, 10625) == nonlocal4._aa_nf(A2)  # eq21
+
+
+@pytest.mark.parametrize("figure,scenario,vectors", [
+    (2, HardyScenario, _hardy3_vectors),
+    (4, NonlocalScenario, _nonlocal4_vectors),
+])
+def test_figure_edges_are_exactly_orthogonal_and_required_non_edges_are_not(
+    figure, scenario, vectors
+):
+    by_attr = vectors()
+    v = {label: by_attr[attr] for label, attr in scenario.LABELS.items()}
+    net = NETWORKS[figure]
+    assert set(net.nodes) <= set(v)
+    for a, b in net.edges:
+        assert _inner(v[a], v[b]) == 0, (a, b)
+    for a, b in net.required_non_edges:
+        assert _inner(v[a], v[b]) != 0, (a, b)
+
+
+def test_only_f_nl_and_n_f_are_entangled():
+    # The vector read as a 2 x 2 array C has det C = 0 exactly for a product
+    # ket; |det C| is the product of its two Schmidt coefficients.
+    v = _nonlocal4_vectors()
+    for attr in NonlocalScenario.LABELS.values():
+        c00, c01, c10, c11 = v[attr]
+        assert (c00 * c11 - c01 * c10 != 0) == (attr in ("f_nl", "n_f")), attr

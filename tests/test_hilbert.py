@@ -548,6 +548,12 @@ class TestCanonicalPhase:
         with pytest.raises(ValueError):
             canonical_phase([0j] * 3)
 
+    def test_a_component_of_magnitude_exactly_orth_tol_is_skipped(self):
+        # "above ORTH_TOL": the phase comes from the 1j, not from the first entry
+        assert canonical_phase([complex(-ORTH_TOL, 0.0), 1j]) == (complex(0.0, ORTH_TOL), 1 + 0j)
+        with pytest.raises(ValueError):
+            canonical_phase([complex(0.0, ORTH_TOL)])
+
     def test_bits_equal_the_conjugate_over_modulus_form(self):
         rng = np.random.default_rng(7)
         for _ in range(2000):

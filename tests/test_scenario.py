@@ -110,6 +110,26 @@ def test_relations_are_frozen_records_that_copy_and_pickle():
         assert copied == report and hash(copied.relations) == hash(report.relations)
 
 
+def test_report_scalars_become_float_or_re_im_pair_whatever_their_type():
+    # numpy.complex128 subclasses complex: an isinstance test makes it a pair,
+    # where a type test would pass it to float() and lose the imaginary part.
+    report = RelationReport({"a2": 0.5}, (
+        Relation("numpy", np.complex128(0.5 - 2j), np.float64(0.1), 2.5),
+        Relation("python", 3, complex(-0.0, 4.0), 3.0),
+        Relation("numpy direct", 0.25, np.complex128(-1.5 + 0.5j), 1.0),
+    ))
+    relations = report_to_json(report)["relations"]
+    assert [(r["formula"], r["direct"]) for r in relations] == [
+        ([0.5, -2.0], 0.1), (3.0, [-0.0, 4.0]), (0.25, [-1.5, 0.5]),
+    ]
+    assert type(relations[0]["direct"]) is type(relations[1]["formula"]) is float
+    assert json.dumps(relations) == (
+        '[{"id": "numpy", "formula": [0.5, -2.0], "direct": 0.1, "residual": 2.5}, '
+        '{"id": "python", "formula": 3.0, "direct": [-0.0, 4.0], "residual": 3.0}, '
+        '{"id": "numpy direct", "formula": 0.25, "direct": [-1.5, 0.5], "residual": 1.0}]'
+    )
+
+
 @pytest.mark.parametrize("module,params,calls", [
     (hardy3, ScenarioParams(0.3, 0.7, 0.4, 2.1), 16),
     (nonlocal4, LocalParams(0.3, 1.1), 5),
