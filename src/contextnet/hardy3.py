@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm
@@ -38,26 +38,24 @@ from .scenario import Params, Scenario
 BASIS = tuple(basis_vector(3, i) for i in range(3))
 
 
-@dataclass(frozen=True)
-class ScenarioParams(Params):
+class ScenarioParams(
+    Params, namedtuple("ScenarioParams", "alpha beta phase_d1 phase_d2", defaults=(0.0, 0.0))
+):
     """Free data of the scenario: two overlap probabilities and two phases.
 
     alpha and beta must lie strictly inside (0, 1); at the boundary the
     required non-orthogonalities fail and closed-form denominators vanish.
+    The phases default to 0.0.
     """
 
-    alpha: float
-    beta: float
-    phase_d1: float = 0.0
-    phase_d2: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class HardyScenario(Scenario):
     """The nine outcome vectors of the dimension-3 scenario, by label.
 
-    ``verify_all`` makes one ``inner`` call for each of the 16 ordered pairs
-    that its relations read.
+    ``params`` is a ``ScenarioParams``. ``verify_all`` makes one ``inner``
+    call for each of the 16 ordered pairs that its relations read.
     """
 
     LABELS = {
@@ -68,7 +66,7 @@ class HardyScenario(Scenario):
     }
     SAMPLED = ("N_f", "f")
 
-    params: ScenarioParams
+    __slots__ = ()
 
 
 def build_scenario(params: ScenarioParams) -> HardyScenario:

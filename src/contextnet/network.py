@@ -35,9 +35,9 @@ Four diagrams are built in:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import DimensionMismatch, MissingAssignment
 from .hilbert import ORTH_TOL, StateVector, inner
@@ -55,42 +55,44 @@ def _pairs(raw) -> tuple[Pair, ...]:
     return tuple(sorted({_pair(a, b) for a, b in raw}))
 
 
-@dataclass(frozen=True)
-class ContextNetwork:
+class ContextNetwork(namedtuple("ContextNetwork", "nodes edges required_non_edges")):
     """Labeled orthogonality graph with mandatory non-orthogonality pairs.
 
     Nodes may be given in any sequence and are stored as a tuple. Pairs may
     be given in any order and container; construction stores each set once,
     as the sorted tuple of sorted pairs that validation and serialization
-    walk.
+    walk. ``_replace`` and ``_make`` construct through the same checks.
     """
 
-    nodes: tuple[str, ...]
-    edges: tuple[Pair, ...]
-    required_non_edges: tuple[Pair, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(set(self.nodes)) != len(self.nodes):
+    def __new__(cls, nodes, edges, required_non_edges=()):
+        nodes = tuple(nodes)
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node labels")
-        object.__setattr__(self, "edges", _pairs(self.edges))
-        object.__setattr__(self, "required_non_edges", _pairs(self.required_non_edges))
-        known = set(self.nodes)
-        for a, b in self.edges + self.required_non_edges:
+        edges, required_non_edges = _pairs(edges), _pairs(required_non_edges)
+        known = set(nodes)
+        for a, b in edges + required_non_edges:
             if a not in known or b not in known:
                 raise ValueError(f"pair ({a!r}, {b!r}) references an unknown node")
-        overlap = set(self.edges) & set(self.required_non_edges)
+        overlap = set(edges) & set(required_non_edges)
         if overlap:
             raise ValueError(f"pairs marked both orthogonal and non-orthogonal: {sorted(overlap)}")
+        return super().__new__(cls, nodes, edges, required_non_edges)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken constraint, with the measured overlap for diagnostics."""
+class Violation(namedtuple("Violation", "kind pair overlap")):
+    """One broken constraint, with the measured overlap for diagnostics.
 
-    kind: str  # "edge" (should be orthogonal) or "non_edge" (should not be)
-    pair: Pair
-    overlap: float
+    ``kind`` is "edge" (the pair should be orthogonal) or "non_edge" (it
+    should not be).
+    """
+
+    __slots__ = ()
 
 
 # Non-edges list only pairs whose non-orthogonality the scenario guarantees

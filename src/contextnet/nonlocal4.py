@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm, tensor
@@ -43,21 +43,19 @@ BASIS = (basis_vector(2, 0), basis_vector(2, 1))
 PRODUCT_BASIS = tuple(tensor(u, v) for u in BASIS for v in BASIS)
 
 
-@dataclass(frozen=True)
-class LocalParams(Params):
-    """Single local overlap probability a2 = |<a|0>|^2 plus a phase."""
+class LocalParams(Params, namedtuple("LocalParams", "a2 phase_a", defaults=(0.0,))):
+    """Single local overlap probability a2 = |<a|0>|^2 plus a phase (default 0.0)."""
 
-    a2: float
-    phase_a: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NonlocalScenario(Scenario):
     """Product kets and the two derived outcomes by label, all of dimension 4.
 
-    The local kets a and b are not figure nodes: entries 0 and 2 of a,0 and
-    b,0 hold them. ``verify_all`` makes one ``inner`` call for each of the 5
-    ordered pairs that its relations read.
+    ``params`` is a ``LocalParams``. The local kets a and b are not figure
+    nodes: entries 0 and 2 of a,0 and b,0 hold them. ``verify_all`` makes
+    one ``inner`` call for each of the 5 ordered pairs that its relations
+    read.
     """
 
     LABELS = {
@@ -67,7 +65,7 @@ class NonlocalScenario(Scenario):
     }
     SAMPLED = ("N_f", "a,a")
 
-    params: LocalParams
+    __slots__ = ()
 
 
 def build_nonlocal(params: LocalParams) -> NonlocalScenario:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyTrials
 from .hilbert import StateVector, born_probability
@@ -27,15 +27,10 @@ MAX_TRIALS = 2**63 - 1
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class SampleEstimate:
+class SampleEstimate(namedtuple("SampleEstimate", "estimate standard_error trials seed count")):
     """Frequency estimate for one sampled outcome."""
 
-    estimate: float
-    standard_error: float
-    trials: int
-    seed: int
-    count: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

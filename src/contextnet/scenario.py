@@ -1,7 +1,7 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
-A scenario module declares its parameters as frozen dataclass fields and
-its outcome labels in a ``LABELS`` table. Its builder computes every
+A scenario module declares its parameters as the fields of a named tuple
+and its outcome labels in a ``LABELS`` table. Its builder computes every
 vector, each derived one with its own ``orthogonal_complement`` call (a
 cofactor product), and hands them to ``Scenario.build`` in ``LABELS``
 order. Its ``verify_all`` makes one ``inner`` call per ordered pair of
@@ -10,63 +10,64 @@ vectors that its relations read and reports the relations as rows.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import ClassVar, Mapping, Sequence
 
 from .errors import OutOfDomain, require_interior
 from .hilbert import StateVector
 from .report import Relation, RelationReport, Scalar
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The field names of a ``Params`` class, and those of its probabilities.
+def _real(name: str, value) -> float:
+    """``value`` as a Python float; a ValueError naming ``name`` if it is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
-    Worked out on a class's first use, once, instead of at every call.
-    """
-    names = tuple(f.name for f in fields(cls))
-    return names, tuple(f.name for f in fields(cls) if f.default is MISSING)
 
+class Params(tuple):
+    """Free data of a scenario: a named tuple of floats, declared by a subclass.
 
-@dataclass(frozen=True)
-class Params:
-    """Free data of a scenario, declared as the float fields of a subclass.
-
-    A field without a default is a probability, checked by
+    A subclass derives from ``Params`` and from the ``namedtuple`` of its
+    fields. A field without a default is a probability, checked by
     ``require_interior``; a field with a default is a phase, which must be
     finite. Either failure raises ``OutOfDomain`` on construction.
 
     Every value must be a real number (a bool or a string is not one) and
     is stored as a Python float; otherwise construction raises
     ``ValueError``, naming the field. All fields pass the type check before
-    any is checked against its domain.
+    any is checked against its domain. ``_replace`` and ``_make`` construct
+    through the same checks.
     """
 
-    def __post_init__(self) -> None:
-        names, probabilities = _field_names(type(self))
-        for name in names:
-            value = getattr(self, name)
-            if type(value) is float:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}={value!r} must be a number")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ValueError(f"{name} is an integer too large for a float") from None
-        for name in names:
-            value = getattr(self, name)
-            if name in probabilities:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for value in self:
+            if type(value) is not float:
+                self = tuple.__new__(cls, [_real(*item) for item in zip(cls._fields, self)])
+                break
+        phases = cls._field_defaults
+        for name, value in zip(cls._fields, self):
+            if name not in phases:
                 require_interior(value, name)
             elif not math.isfinite(value):
                 raise OutOfDomain(f"{name}={value!r} must be a finite phase")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _field_names(type(self))[0]}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Params":
@@ -78,43 +79,40 @@ class Params:
         """
         if not isinstance(doc, Mapping):
             raise ValueError(f"parameters must be a JSON object, got {type(doc).__name__}")
-        names, required = _field_names(cls)
+        names = cls._fields
         unknown = set(doc) - set(names)
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+        required = [name for name in names if name not in cls._field_defaults]
         if any(name not in doc for name in required):
             raise ValueError(f"parameters require {', '.join(map(repr, required))}")
         return cls(**{name: doc[name] for name in names if name in doc})
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "params vectors")):
     """The parameters of a scenario and its built outcome vectors by label.
 
     ``vectors`` is the read-only label -> vector mapping, in ``LABELS``
-    order, that ``build`` fills once. ``LABELS`` maps each figure node label
-    to the read-only attribute that returns its vector. ``SAMPLED`` names
-    the (prepared state, detected outcome) pair whose frequency the oracle
-    samples.
+    order, that ``build`` fills once. A subclass declares ``LABELS``, which
+    maps each figure node label to the read-only attribute that returns its
+    vector, and ``SAMPLED``, the (prepared state, detected outcome) pair
+    whose frequency the oracle samples. A scenario hashes as its params, and
+    pickle and deepcopy rebuild it through ``build``.
     """
 
-    LABELS: ClassVar[Mapping[str, str]]
-    SAMPLED: ClassVar[tuple[str, str]]
-
-    params: Params
-    vectors: Mapping[str, StateVector] = field(hash=False)
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         for label, attr in cls.LABELS.items():
             setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
 
-    # A mappingproxy does not pickle, so pickle and deepcopy carry a plain dict.
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "vectors": dict(self.vectors)}
+    def __hash__(self) -> int:
+        return hash(self.params)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, vectors=MappingProxyType(state["vectors"]))
+    # A mappingproxy does not pickle, so pickle and deepcopy carry the vectors.
+    def __reduce__(self):
+        return type(self).build, (self.params, tuple(self.vectors.values()))
 
     @classmethod
     def build(cls, params: Params, vectors: Sequence[StateVector]):
@@ -132,8 +130,8 @@ class Scenario:
     def report(self, *rows: tuple[str, Scalar, Scalar]) -> RelationReport:
         """The report of ``(id, formula value, direct value)`` rows, in order."""
         return RelationReport(
-            params=self.params.to_dict(),
-            relations=tuple([
+            self.params._asdict(),
+            tuple([
                 Relation(rel_id, formula, direct, abs(formula - direct))
                 for rel_id, formula, direct in rows
             ]),

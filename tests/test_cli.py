@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -144,8 +143,8 @@ class TestVerifyFailure:
         def with_nan_residual(s):
             report = verify_all(s)
             relations = list(report.relations)
-            relations[2] = dataclasses.replace(relations[2], residual=math.nan)
-            return dataclasses.replace(report, relations=tuple(relations))
+            relations[2] = relations[2]._replace(residual=math.nan)
+            return report._replace(relations=tuple(relations))
 
         monkeypatch.setattr(hardy3, "verify_all", with_nan_residual)
         code, doc, err = self._run(hardy_params, capsys)

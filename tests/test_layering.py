@@ -14,19 +14,19 @@ from contextnet import cli
 MODULES = sorted(m.name for m in pkgutil.iter_modules(contextnet.__path__, "contextnet."))
 
 
-def _run(code: str, *args: str) -> subprocess.CompletedProcess:
-    """``code`` with ``args`` in a fresh interpreter that turns every warning into an error."""
+def _run(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """``code`` with ``args`` in a fresh interpreter run with ``flags``; warnings are errors."""
     path = [os.path.dirname(contextnet.__path__[0]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, "-W", "error", "-c", code, *args],
+        [sys.executable, *flags, "-W", "error", "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
 
 
-def _python(code: str) -> str:
-    """Stdout of ``code`` in a fresh interpreter, which must exit 0."""
-    done = _run(code)
+def _python(code: str, *flags: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter started with ``flags``, which must exit 0."""
+    done = _run(code, flags=flags)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -42,6 +42,18 @@ def test_oracle_imports_no_scenario_module():
 def test_the_cli_imports_without_numpy():
     # sample and sweep import numpy when they run; verify and graph never do
     assert _python("import sys, contextnet.cli\nprint('numpy' in sys.modules)") == "False\n"
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # The records are named tuples: importing dataclasses, and inspect with
+    # it, was most of the import's time.
+    code = (
+        "import sys, contextnet.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    assert _python(code, "-S") == "[]\n"
+    # A .pth file that site runs may import typing itself; -S above runs no site.
+    assert _python(code) in ("[]\n", "['typing']\n")
 
 
 #: Child-interpreter code: a finder first on ``sys.meta_path`` refuses numpy,

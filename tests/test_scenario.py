@@ -13,7 +13,6 @@ a bit unnoticed.
 
 import cmath
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -28,7 +27,8 @@ import numpy as np
 import pytest
 
 import contextnet
-from contextnet import cli, hardy3, hilbert, nonlocal4
+from contextnet import cli, hardy3, hilbert, nonlocal4, oracle
+from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
 from contextnet.hardy3 import verify_all as verify_hardy
 from contextnet.hilbert import (
@@ -39,6 +39,7 @@ from contextnet.hilbert import (
     orthogonal_complement,
     tensor,
 )
+from contextnet.network import NETWORKS, validate_realization
 from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
 from contextnet.report import Relation, RelationReport, nan_max, report_to_json
@@ -76,7 +77,7 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
     s = build(params)
     with pytest.raises(TypeError):
         s.vectors["N_f"] = s.vectors["N_f"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         s.n_f = s.n_f
     assert list(s.vectors) == list(s.LABELS)
     with pytest.raises(ValueError):  # one vector short of LABELS
@@ -94,20 +95,74 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
 
 @pytest.mark.parametrize("scenario", [HardyScenario, NonlocalScenario])
 def test_a_scenario_is_its_params_and_labelled_vectors(scenario):
-    assert [f.name for f in dataclasses.fields(scenario)] == ["params", "vectors"]
+    assert scenario._fields == ("params", "vectors")
 
 
 def test_relations_are_frozen_records_that_copy_and_pickle():
     report = verify_hardy(build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1)))
     r = report.relation("eq9")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.residual = 0.0
     twin = Relation(r.id, r.formula_value, r.direct_value, residual=r.residual)
     assert twin == r and hash(twin) == hash(r)
-    changed = dataclasses.replace(r, residual=1.0)
+    changed = r._replace(residual=1.0)
     assert changed == Relation("eq9", r.formula_value, r.direct_value, 1.0)
     for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
         assert copied == report and hash(copied.relations) == hash(report.relations)
+
+
+def _records():
+    """One instance of each concrete record type, by name."""
+    s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
+    report = verify_hardy(s)
+    violation, = validate_realization(NETWORKS[1], {**s.vectors, "D1": s.vectors["3"]})
+    return {
+        "Relation": report.relation("eq9"),
+        "RelationReport": report,
+        "ScenarioParams": s.params,
+        "LocalParams": LocalParams(0.3, 1.1),
+        "HardyScenario": s,
+        "NonlocalScenario": build_nonlocal(LocalParams(0.3, 1.1)),
+        "ContextNetwork": NETWORKS[4],
+        "Violation": violation,
+        "SampleEstimate": oracle.estimate(s, 42, 1000),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_are_frozen_named_tuples_that_pickle_and_copy(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    assert not hasattr(record, "__dict__")  # every class in the chain declares __slots__ = ()
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record) and copied == record
+        if name == "RelationReport":  # its params are a dict
+            with pytest.raises(TypeError):
+                hash(copied)
+        else:
+            assert hash(copied) == hash(record)
+
+
+def test_replace_checks_its_input_as_construction_does():
+    p = ScenarioParams(0.5, 0.5)
+    with pytest.raises(OutOfDomain):
+        p._replace(alpha=2.0)
+    with pytest.raises(ValueError, match="a2='x' must be a number"):
+        LocalParams(0.5)._replace(a2="x")
+    with pytest.raises(ValueError, match="self-loop"):
+        NETWORKS[1]._replace(edges=[("1", "1")])
+    changed = p._replace(phase_d1=1)
+    assert changed == (0.5, 0.5, 1.0, 0.0) and type(changed.phase_d1) is float
+    assert ScenarioParams._make([0.5, 0.5]) == p
+
+
+def test_a_scenarios_hash_ignores_its_vectors():
+    s = build_scenario(ScenarioParams(0.3, 0.7, 0.4, 2.1))
+    other = s._replace(vectors=types.MappingProxyType({}))
+    assert other != s and hash(other) == hash(s) == hash(s.params)
 
 
 def test_report_scalars_become_float_or_re_im_pair_whatever_their_type():
