@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class ContextNetError(Exception):
     """Base class for every error raised by this package."""
@@ -37,14 +39,29 @@ class EmptyTrials(ContextNetError):
 BOUNDARY_MARGIN = 1e-9
 
 
+def require_real(value, name: str) -> float:
+    """``value`` as a Python float; a ValueError naming ``name`` if it is not a real number.
+
+    A bool or a string is not a real number, and an int too large for a
+    float is refused as well.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
 def require_interior(value: float, name: str) -> float:
-    """Return ``value`` if it lies inside (0, 1) by at least ``BOUNDARY_MARGIN``.
+    """Return ``value`` as a float if it lies inside (0, 1) by at least ``BOUNDARY_MARGIN``.
 
     Raises:
+        ValueError: if ``value`` is not a real number (see ``require_real``).
         OutOfDomain: if ``value`` is within ``BOUNDARY_MARGIN`` of 0 or 1 (or
             outside the unit interval altogether, or NaN).
     """
-    v = float(value)
+    v = require_real(value, name)
     if not (BOUNDARY_MARGIN <= v <= 1.0 - BOUNDARY_MARGIN):
         raise OutOfDomain(
             f"{name}={v!r} must lie in [{BOUNDARY_MARGIN}, {1.0 - BOUNDARY_MARGIN}]; "

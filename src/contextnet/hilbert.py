@@ -14,10 +14,8 @@ Python ``complex``, and ``inner``, ``tensor``, ``cofactor``,
 ``+ - * /`` on them, each sum added left to right (``sum`` of floats rounds
 differently from Python 3.12 on). No numpy or BLAS kernel, whose SIMD and
 FMA paths depend on the host, touches a vector, so the bits are the same on
-every host. numpy stays only where it is the interface: the array-like
-constructor, the read-only ``components`` array and ``repr``. The module
-imports numpy only inside those functions, so importing it, and building
-and reporting a scenario, loads no numpy.
+every host. The module imports no numpy: building, reporting, copying and
+pickling a scenario run without it.
 
 The vector orthogonal to n - 1 given ones of dimension n, which fixes each
 derived outcome, is their ``cofactor`` product, written out over numbers.
@@ -50,44 +48,39 @@ PROBABILITY_SLACK = 5 * NORM_CHECK_TOL
 class StateVector:
     """Immutable complex vector of fixed finite dimension.
 
-    Represents either a measurement outcome or a prepared state. The
-    constructor flattens any array-like input and keeps its components
-    once, as a tuple of Python ``complex``, on which all of ``hilbert``'s
-    arithmetic runs; the builders pass a ready tuple to ``_of``. Nothing
-    can change the tuple, so the norm is computed once, on first use, and
-    kept. ``components`` is a read-only complex128 array over an immutable
-    ``bytes`` copy of the tuple, made on first access and kept; numpy
-    refuses to make it writable again.
+    Represents either a measurement outcome or a prepared state. It holds
+    one thing, ``components``: a tuple of Python ``complex``, on which all
+    of ``hilbert``'s arithmetic runs. The constructor converts each entry of
+    a flat sequence of numbers with ``complex(x)``; the builders pass a
+    ready tuple to ``_of``.
 
     Raises:
-        TypeError: if an entry is None, a str or bytes, which numpy's
-            complex cast would read as NaN or parse as a number.
+        TypeError: if the argument is a str, bytes or bytearray, is not
+            iterable (a scalar or None), or has an entry that is not a
+            ``numbers.Number`` (None, text, or a nested sequence).
         ValueError: if there are no components.
     """
 
-    __slots__ = ("_components", "_array", "_norm")
+    __slots__ = ("_components",)
 
     def __init__(self, components) -> None:
-        import numpy as np
-
-        array = np.asarray(components)
-        if array.dtype.kind in "OSU":
-            # the entries as given: numpy spells a float beside a str as a str
-            for i, x in enumerate(np.asarray(components, object).reshape(-1).tolist()):
-                if x is None or isinstance(x, (str, bytes)):
-                    raise TypeError(f"component {i} is {x!r}, not a number")
-        c = tuple(array.astype(np.complex128).reshape(-1).tolist())
+        # iterating text would yield characters, and bytes small ints
+        if isinstance(components, (str, bytes, bytearray)):
+            raise TypeError(f"components {components!r} are text, not numbers")
+        c = []
+        for i, x in enumerate(components):
+            if not isinstance(x, numbers.Number):
+                raise TypeError(f"component {i} is {x!r}, not a number")
+            c.append(complex(x))
         if not c:
             raise ValueError("a state vector needs at least one component")
-        self._components = c
-        self._array = None
-        self._norm = None
+        self._components = tuple(c)
 
     @classmethod
     def _of(cls, c: tuple[complex, ...]) -> "StateVector":
         """The vector of a ready, non-empty tuple of Python ``complex``, kept as given."""
         v = object.__new__(cls)
-        v._components, v._array, v._norm = c, None, None
+        v._components = c
         return v
 
     def __reduce__(self):
@@ -95,23 +88,16 @@ class StateVector:
         return type(self), (self._components,)
 
     @property
-    def components(self) -> numpy.ndarray:
-        """Read-only component array (complex128)."""
-        if self._array is None:
-            import numpy as np
-
-            buffer = np.array(self._components, np.complex128).tobytes()
-            self._array = np.frombuffer(buffer, np.complex128)
-        return self._array
+    def components(self) -> tuple[complex, ...]:
+        """The components, a tuple of Python ``complex``."""
+        return self._components
 
     @property
     def dim(self) -> int:
         return len(self._components)
 
     def norm(self) -> float:
-        if self._norm is None:
-            self._norm = math.sqrt(squared_norm(self._components))
-        return self._norm
+        return math.sqrt(squared_norm(self._components))
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= NORM_CHECK_TOL
@@ -128,10 +114,7 @@ class StateVector:
         return hash(self._components)
 
     def __repr__(self) -> str:
-        import numpy as np
-
-        body = np.array2string(self.components, separator=", ", precision=8)
-        return f"StateVector({body})"
+        return f"StateVector({list(self._components)})"
 
 
 def squared_norm(zs: Iterable[complex]) -> float:

@@ -11,24 +11,13 @@ vectors that its relations read and reports the relations as rows.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
-from .errors import OutOfDomain, require_interior
+from .errors import OutOfDomain, require_interior, require_real
 from .hilbert import StateVector
 from .report import Relation, RelationReport, Scalar
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a Python float; a ValueError naming ``name`` if it is not a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}={value!r} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 class Params(tuple):
@@ -52,7 +41,8 @@ class Params(tuple):
         self = super().__new__(cls, *args, **kwargs)
         for value in self:
             if type(value) is not float:
-                self = tuple.__new__(cls, [_real(*item) for item in zip(cls._fields, self)])
+                values = [require_real(v, name) for name, v in zip(cls._fields, self)]
+                self = tuple.__new__(cls, values)
                 break
         phases = cls._field_defaults
         for name, value in zip(cls._fields, self):

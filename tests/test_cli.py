@@ -572,7 +572,7 @@ class TestSample:
         # numpy under test, so no one version's stream is pinned.
         module = cli.SCENARIOS[kind]
         s = module.build(module.PARAMS.from_dict(params))
-        prep, outcome = (s.vectors[label].components for label in s.SAMPLED)
+        prep, outcome = (np.asarray(s.vectors[label].components) for label in s.SAMPLED)
         _, _, vh = np.linalg.svd(outcome[None, :])
         weights = np.array([abs(np.vdot(b, prep)) ** 2 for b in [outcome, *vh[1:]]])
         rng = np.random.Generator(np.random.Philox(seed))

@@ -1,7 +1,10 @@
 """Import layering: only the CLI names the scenarios, importing the CLI loads no numpy,
-a command that needs numpy exits 2 without it, and each module imports alone."""
+a command that needs numpy exits 2 without it, only the two functions that compute with
+numpy import it, and each module imports alone."""
 
+import ast
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -57,8 +60,8 @@ def test_the_cli_imports_no_dataclasses_inspect_or_typing():
 
 
 #: Child-interpreter code: a finder first on ``sys.meta_path`` refuses numpy,
-#: as an install without it does, then the CLI runs on the child's arguments.
-_WITHOUT_NUMPY = """\
+#: as an install without it does.
+_REFUSE_NUMPY = """\
 import importlib.abc, sys
 
 class RefuseNumpy(importlib.abc.MetaPathFinder):
@@ -67,9 +70,10 @@ class RefuseNumpy(importlib.abc.MetaPathFinder):
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
 sys.meta_path.insert(0, RefuseNumpy())
-from contextnet import cli
-cli.run()
 """
+
+#: Without numpy, the CLI runs on the child's arguments.
+_WITHOUT_NUMPY = _REFUSE_NUMPY + "from contextnet import cli\ncli.run()\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "sweep"])
@@ -97,3 +101,42 @@ def test_another_missing_module_is_not_bad_input(monkeypatch):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone_without_warnings(module):
     _python(f"import {module}")
+
+
+def test_scenarios_copy_pickle_and_print_without_numpy():
+    code = _REFUSE_NUMPY + """\
+import copy, pickle
+from contextnet import hardy3, nonlocal4
+from contextnet.hilbert import StateVector
+for s in (hardy3.build_scenario(hardy3.ScenarioParams(0.3, 0.7, 0.4, 2.1)),
+          nonlocal4.build_nonlocal(nonlocal4.LocalParams(0.3, 1.1))):
+    for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(clone) is type(s) and clone == s and clone is not s
+    assert eval(repr(s.n_f), {"StateVector": StateVector}) == s.n_f
+v = StateVector([0.6, 0.8j])
+print(repr(v), v.components, "numpy" in sys.modules)
+"""
+    assert _python(code) == "StateVector([(0.6+0j), 0.8j]) ((0.6+0j), 0.8j) False\n"
+
+
+def _numpy_imports(node, scope):
+    """The dotted scope of each ``import numpy`` or ``from numpy ...`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _numpy_imports(child, f"{scope}.{child.name}")
+        elif isinstance(child, ast.Import):
+            if any(a.name.partition(".")[0] == "numpy" for a in child.names):
+                yield scope
+        elif isinstance(child, ast.ImportFrom):
+            if child.level == 0 and child.module.partition(".")[0] == "numpy":
+                yield scope
+        else:
+            yield from _numpy_imports(child, scope)
+
+
+def test_numpy_is_imported_only_where_it_computes():
+    # the Philox binomial and the sweep grid; no module imports numpy at top level
+    found = set()
+    for path in pathlib.Path(contextnet.__path__[0]).glob("*.py"):
+        found.update(_numpy_imports(ast.parse(path.read_text(), str(path)), path.stem))
+    assert found == {"oracle.sample_context", "cli.cmd_sweep"}

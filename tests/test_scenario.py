@@ -224,7 +224,7 @@ def test_derived_vectors_are_complement_calls_in_labels_order(module, params, mo
     assert {label for label, v in s.vectors.items() if any(v is m for m in made)} == set(derived)
     for label, neighbours in derived.items():
         v = orthogonal_complement([s.vectors[other] for other in neighbours])
-        assert s.vectors[label].components.tobytes() == v.components.tobytes(), label
+        assert _bytes(s.vectors[label]) == _bytes(v), label
     # hardy3's f is built last, after N_f, but keeps its LABELS place
     assert list(s.vectors) == list(s.LABELS)
 
@@ -272,7 +272,7 @@ def reference_complement(vectors):
     its norm, and the first component c above ``ORTH_TOL`` rotated by
     ``conj(c) / |c|``, each a Python complex operation.
     """
-    rows = [v.components.tolist() for v in vectors]
+    rows = [list(v.components) for v in vectors]
     dim = len(rows) + 1
     assert {len(row) for row in rows} == {dim}
     if dim == 2:
@@ -325,7 +325,7 @@ def reference_hardy(p):
     c1, c2, c3 = inner(d1, f), inner(d2, f), inner(k3, f)
     expansion = math.sqrt(reference_squared_norm(
         fi - (d1i * c1 + d2i * c2 - k3i * c3)
-        for fi, d1i, d2i, k3i in zip(*(v.components.tolist() for v in (f, d1, d2, k3)))
+        for fi, d1i, d2i, k3i in zip(*(v.components for v in (f, d1, d2, k3)))
     ))
     rows = [
         ("eq3", inner(d1, k3) * inner(k3, d2), inner(d1, d2)),
@@ -370,7 +370,7 @@ def reference_nonlocal(p):
     c1, c2 = inner(f_nl, kaa), inner(k11, kaa)
     expansion = math.sqrt(reference_squared_norm(
         aa - (fi * c1 + k11i * c2)
-        for aa, fi, k11i in zip(*(v.components.tolist() for v in (kaa, f_nl, k11)))
+        for aa, fi, k11i in zip(*(v.components for v in (kaa, f_nl, k11)))
     ))
     factorization = abs(inner(kaa, n_f) - inner(kaa, f_nl) * inner(f_nl, n_f))
     rows = [
@@ -413,7 +413,7 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
         built = dict(s.vectors)
         assert list(built) == list(vectors)
         for name, v in vectors.items():
-            assert built[name].components.tobytes() == v.components.tobytes(), (p, name)
+            assert _bytes(built[name]) == _bytes(v), (p, name)
         got = json.dumps(hex_floats(report_to_json(report(s))))
         assert got == json.dumps(hex_floats(report_to_json(expected))), p
 
@@ -445,12 +445,12 @@ def test_gram_sums_do_not_depend_on_the_python_version():
     # of floats makes from Python 3.12 on differ in the last bit; the first
     # component would then end in ...858. These bits hold on every version.
     s = build_scenario(ScenarioParams(0.2, 0.7))
-    assert [_hex(z) for z in s.n_f.components.tolist()] == [
+    assert [_hex(z) for z in s.n_f.components] == [
         ("0x1.9d281a4e8c857p-1", "0x0.0p+0"),
         ("0x1.0e797a0a15212p-2", "0x0.0p+0"),
         ("-0x1.0e797a0a15212p-1", "0x0.0p+0"),
     ]
-    c = hilbert.cofactor([s.d1.components.tolist(), s.d2.components.tolist()])
+    c = hilbert.cofactor([s.d1.components, s.d2.components])
     terms = [z.real * z.real + z.imag * z.imag for z in c]
     assert terms[0] + terms[1] + terms[2] != math.fsum(terms)
 
@@ -459,14 +459,19 @@ def _hex(z):
     return z.real.hex(), z.imag.hex()
 
 
+def _bytes(v):
+    """A vector's components as the bytes of a complex128 array."""
+    return np.array(v.components, np.complex128).tobytes()
+
+
 def _digest(points):
-    """sha256 over each point's vectors (``components`` bytes, ``LABELS`` order) and report."""
+    """sha256 over each point's vectors (``_bytes``, ``LABELS`` order) and report."""
     h = hashlib.sha256()
     for p in points:
         module = hardy3 if isinstance(p, ScenarioParams) else nonlocal4
         s = module.build(p)
         for v in s.vectors.values():
-            h.update(v.components.tobytes())
+            h.update(_bytes(v))
         h.update(json.dumps(report_to_json(module.verify_all(s))).encode())
     return h.hexdigest()
 
