@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands:
-    verify  build a scenario from a params file and report every relation
+    verify  build a scenario from a params file, report every relation and
+            check the vectors against the scenario's figure
     sweep   tabulate the paradox probability over an (alpha, beta) grid
     sample  Monte-Carlo estimate of the paradox probability
     graph   print a built-in orthogonality network as JSON
 
-Exit codes: 0 success, 1 a relation residual exceeded the threshold,
-2 bad input (unparseable file or one that repeats a key, out-of-domain
-parameters, unwritable path) or ``sample`` or ``sweep`` without numpy,
-141 standard output was closed before the output was written (128 + SIGPIPE,
-as a shell reports a process that a broken pipe killed).
+Exit codes: 0 success, 1 a relation residual exceeded the threshold or
+a vector broke a pair of the scenario's figure, 2 bad input (unparseable
+file or one that repeats a key, out-of-domain parameters, unwritable path)
+or ``sample`` or ``sweep`` without numpy, 141 standard output was closed
+before the output was written (128 + SIGPIPE, as a shell reports a process
+that a broken pipe killed).
 
 Run it as ``contextnet``, ``python -m contextnet`` or ``python -m contextnet.cli``.
 """
@@ -28,7 +30,7 @@ from datetime import datetime, timezone
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
 from .errors import ContextNetError, require_interior
-from .network import NETWORKS, builtin_network, network_to_json
+from .network import NETWORKS, builtin_network, network_to_json, validate_realization
 from .report import report_to_json
 
 #: A relation with residual at or above this fails the verify command.
@@ -68,14 +70,25 @@ def _build(kind: str, path: str):
 
 
 def cmd_verify(kind: str, params_path: str) -> int:
-    report = SCENARIOS[kind].verify_all(_build(kind, params_path))
-    timestamp = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(report_to_json(report, timestamp=timestamp), indent=2))
+    """Print the report plus the figure check as ``network``; 1 on a residual or a broken pair."""
+    s = _build(kind, params_path)
+    report = SCENARIOS[kind].verify_all(s)
+    violations = validate_realization(s.NETWORK, s.vectors)
+    doc = report_to_json(report, timestamp=datetime.now(timezone.utc).isoformat())
+    doc["network"] = {
+        "edges": len(s.NETWORK.edges),
+        "non_edges": len(s.NETWORK.required_non_edges),
+        "violations": [
+            {"kind": v.kind, "pair": list(v.pair), "overlap": v.overlap} for v in violations
+        ],
+    }
+    print(json.dumps(doc, indent=2))
     failing = [r.id for r in report.relations if not r.residual < RESIDUAL_THRESHOLD]
     if failing:
         print(f"FAIL {failing[0]}: residual >= {RESIDUAL_THRESHOLD}", file=sys.stderr)
-        return 1
-    return 0
+    for v in violations:
+        print(f"FAIL network: {v.kind} ({v.pair[0]}, {v.pair[1]})", file=sys.stderr)
+    return 1 if failing or violations else 0
 
 
 def cmd_sweep(

@@ -10,7 +10,9 @@ parameters and two phases:
 so alpha = |<D1|3>|^2 and beta = |<D2|3>|^2. Everything else is derived
 purely from orthogonality, never from the closed-form coefficient
 relations under test (that separation is what makes the vectors an
-independent oracle for the formulas), as ``build_scenario`` computes them:
+independent oracle for the formulas). ``HardyScenario.NETWORK``, Figure 2
+plus N_f, states the orthogonalities, and ``Scenario.build`` derives each
+vector from its figure neighbours:
 
     S1  completes the context {1, D1, S1}
     S2  completes the context {2, D2, S2}
@@ -30,12 +32,15 @@ import math
 from collections import namedtuple
 
 from .errors import require_interior
-from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm
+from .hilbert import StateVector, basis_vector, inner, squared_norm
+from .network import NETWORKS, ContextNetwork
 from .report import RelationReport
 from .scenario import Params, Scenario
 
 #: The central context |1>, |2>, |3>, shared by every built scenario (read-only).
 BASIS = tuple(basis_vector(3, i) for i in range(3))
+
+_FIG2 = NETWORKS[2]
 
 
 class ScenarioParams(
@@ -54,8 +59,10 @@ class ScenarioParams(
 class HardyScenario(Scenario):
     """The nine outcome vectors of the dimension-3 scenario, by label.
 
-    ``params`` is a ``ScenarioParams``. ``verify_all`` makes one ``inner``
-    call for each of the 16 ordered pairs that its relations read.
+    ``params`` is a ``ScenarioParams``. ``NETWORK`` is Figure 2 plus N_f,
+    orthogonal to D1 and D2 and never to 1, 2, 3 or f. ``verify_all`` makes
+    one ``inner`` call for each of the 16 ordered pairs that its relations
+    read.
     """
 
     LABELS = {
@@ -64,6 +71,11 @@ class HardyScenario(Scenario):
         "S1": "s1", "S2": "s2",
         "f": "f", "N_f": "n_f",
     }
+    NETWORK = ContextNetwork(
+        _FIG2.nodes + ("N_f",),
+        _FIG2.edges + (("N_f", "D1"), ("N_f", "D2")),
+        _FIG2.required_non_edges + (("N_f", "1"), ("N_f", "2"), ("N_f", "3"), ("f", "N_f")),
+    )
     SAMPLED = ("N_f", "f")
 
     __slots__ = ()
@@ -73,25 +85,20 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     """Construct all nine vectors from the scenario parameters.
 
     The central context is ``BASIS``; D1 and D2 are written down directly.
-    Each derived vector is one ``orthogonal_complement`` call, the
-    normalised, canonically phased cofactor (cross) product of its two
-    neighbours: S1 of 1 and D1, S2 of 2 and D2, N_f of D1 and D2, then f of
-    S1 and S2. The construction is deterministic and independent of the
-    predicted_* closed forms.
+    ``HardyScenario.build`` derives the other four from ``NETWORK``, each
+    the normalised, canonically phased cofactor (cross) product of its two
+    earlier neighbours: S1 of 1 and D1, S2 of 2 and D2, f of S1 and S2,
+    N_f of D1 and D2. The construction is deterministic and independent of
+    the predicted_* closed forms.
     """
     a, b = params.alpha, params.beta
-    k1, k2, k3 = BASIS
     d1 = StateVector._of(
         (0j, complex(math.sqrt(1.0 - a)), cmath.exp(1j * params.phase_d1) * math.sqrt(a))
     )
     d2 = StateVector._of(
         (complex(math.sqrt(1.0 - b)), 0j, cmath.exp(1j * params.phase_d2) * math.sqrt(b))
     )
-    s1 = orthogonal_complement([k1, d1])
-    s2 = orthogonal_complement([k2, d2])
-    n_f = orthogonal_complement([d1, d2])
-    f = orthogonal_complement([s1, s2])
-    return HardyScenario.build(params, (k1, k2, k3, d1, d2, s1, s2, f, n_f))
+    return HardyScenario.build(params, (*BASIS, d1, d2))
 
 
 def predicted_nf3(alpha: float, beta: float) -> float:

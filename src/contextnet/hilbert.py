@@ -52,12 +52,13 @@ class StateVector:
     one thing, ``components``: a tuple of Python ``complex``, on which all
     of ``hilbert``'s arithmetic runs. The constructor converts each entry of
     a flat sequence of numbers with ``complex(x)``; the builders pass a
-    ready tuple to ``_of``.
+    ready tuple to ``_of``. A number is a ``numbers.Number`` or, like
+    numpy's bool, a scalar with ``__float__`` and no ``__len__``.
 
     Raises:
         TypeError: if the argument is a str, bytes or bytearray, is not
             iterable (a scalar or None), or has an entry that is not a
-            ``numbers.Number`` (None, text, or a nested sequence).
+            number (None, text, or a nested sequence or array row).
         ValueError: if there are no components.
     """
 
@@ -69,7 +70,11 @@ class StateVector:
             raise TypeError(f"components {components!r} are text, not numbers")
         c = []
         for i, x in enumerate(components):
-            if not isinstance(x, numbers.Number):
+            # numpy's bool is no ``numbers.Number`` and has only ``__float__``;
+            # an array row has that too, but also a length
+            if not isinstance(x, numbers.Number) and (
+                not hasattr(type(x), "__float__") or hasattr(type(x), "__len__")
+            ):
                 raise TypeError(f"component {i} is {x!r}, not a number")
             c.append(complex(x))
         if not c:

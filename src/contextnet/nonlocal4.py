@@ -34,6 +34,7 @@ from collections import namedtuple
 
 from .errors import DegenerateSpan, DimensionMismatch, require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm, tensor
+from .network import NETWORKS, ContextNetwork
 from .report import RelationReport, nan_max
 from .scenario import Params, Scenario
 
@@ -41,6 +42,8 @@ from .scenario import Params, Scenario
 #: product-basis order, shared by every built scenario (read-only).
 BASIS = (basis_vector(2, 0), basis_vector(2, 1))
 PRODUCT_BASIS = tuple(tensor(u, v) for u in BASIS for v in BASIS)
+
+_FIG4 = NETWORKS[4]
 
 
 class LocalParams(Params, namedtuple("LocalParams", "a2 phase_a", defaults=(0.0,))):
@@ -53,16 +56,23 @@ class NonlocalScenario(Scenario):
     """Product kets and the two derived outcomes by label, all of dimension 4.
 
     ``params`` is a ``LocalParams``. The local kets a and b are not figure
-    nodes: entries 0 and 2 of a,0 and b,0 hold them. ``verify_all`` makes
-    one ``inner`` call for each of the 5 ordered pairs that its relations
-    read.
+    nodes: entries 0 and 2 of a,0 and b,0 hold them. ``LABELS`` lists
+    Figure 3's kets, then Figure 4's additions, then the two derived
+    outcomes. ``NETWORK`` is Figure 4 plus N_f, orthogonal to a,0, 0,a and
+    1,1 and never to f_NL or a,a. ``verify_all`` makes one ``inner`` call
+    for each of the 5 ordered pairs that its relations read.
     """
 
     LABELS = {
-        "0,0": "k00", "0,1": "k01", "1,0": "k10", "1,1": "k11",
+        "0,0": "k00", "0,1": "k01", "1,0": "k10",
         "a,0": "ka0", "0,a": "k0a", "b,0": "kb0", "0,b": "k0b",
-        "a,a": "kaa", "f_NL": "f_nl", "N_f": "n_f",
+        "1,1": "k11", "a,a": "kaa", "f_NL": "f_nl", "N_f": "n_f",
     }
+    NETWORK = ContextNetwork(
+        _FIG4.nodes + ("N_f",),
+        _FIG4.edges + (("N_f", "a,0"), ("N_f", "0,a"), ("N_f", "1,1")),
+        _FIG4.required_non_edges + (("f_NL", "N_f"), ("a,a", "N_f")),
+    )
     SAMPLED = ("N_f", "a,a")
 
     __slots__ = ()
@@ -71,13 +81,14 @@ class NonlocalScenario(Scenario):
 def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     """Construct the full two-qubit scenario from the local parameters.
 
-    The relative phase sits on the |0> component of |a| so that
-    |<a|0>|^2 equals a2 exactly. Each derived vector is one
-    ``orthogonal_complement`` call, the normalised, canonically phased
-    cofactor product of its inputs: |b> of |a>, f_NL of b,0  0,b  1,1 and
-    N_f of a,0  0,a  1,1. The products a,0  0,a  b,0  0,b  a,a are one
-    ``tensor`` call each, and the fixed kets come from ``BASIS`` and
-    ``PRODUCT_BASIS``.
+    The relative phase sits on the |0> component of |a> so that
+    |<a|0>|^2 equals a2 exactly. |b> is the ``orthogonal_complement`` of
+    |a>, the one complement that is not a figure node. The products
+    a,0  0,a  b,0  0,b  a,a are one ``tensor`` call each, and the fixed
+    kets come from ``BASIS`` and ``PRODUCT_BASIS``. ``NonlocalScenario.build``
+    derives f_NL and N_f from ``NETWORK``, each the normalised, canonically
+    phased cofactor product of its three earlier neighbours: f_NL of
+    b,0  0,b  1,1 and N_f of a,0  0,a  1,1.
     """
     a2 = params.a2
     ka = StateVector._of(
@@ -85,12 +96,12 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     )
     kb = orthogonal_complement([ka])
     k0 = BASIS[0]
-    ka0, k0a, kb0, k0b = tensor(ka, k0), tensor(k0, ka), tensor(kb, k0), tensor(k0, kb)
-    kaa = tensor(ka, ka)
     k00, k01, k10, k11 = PRODUCT_BASIS
-    f_nl = orthogonal_complement([kb0, k0b, k11])
-    n_f = orthogonal_complement([ka0, k0a, k11])
-    return NonlocalScenario.build(params, (k00, k01, k10, k11, ka0, k0a, kb0, k0b, kaa, f_nl, n_f))
+    return NonlocalScenario.build(params, (
+        k00, k01, k10,
+        tensor(ka, k0), tensor(k0, ka), tensor(kb, k0), tensor(k0, kb),
+        k11, tensor(ka, ka),
+    ))
 
 
 def predicted_fnl_nf(a2: float) -> float:

@@ -1,10 +1,13 @@
 """Bases of the scenario modules: validated parameters and labeled vectors.
 
-A scenario module declares its parameters as the fields of a named tuple
-and its outcome labels in a ``LABELS`` table. Its builder computes every
-vector, each derived one with its own ``orthogonal_complement`` call (a
-cofactor product), and hands them to ``Scenario.build`` in ``LABELS``
-order. Its ``verify_all`` makes one ``inner`` call per ordered pair of
+A scenario module declares its parameters as the fields of a named tuple,
+its outcome labels in a ``LABELS`` table and its figure in ``NETWORK``.
+The figure is the one statement of which outcomes are orthogonal: each
+label that the builder does not give is derived from it, as the
+``orthogonal_complement`` (a cofactor product) of the label's figure
+neighbours that come before it in ``LABELS``. The builder computes only the
+free vectors, a prefix of ``LABELS``, and ``Scenario.build`` derives the
+rest. Its ``verify_all`` makes one ``inner`` call per ordered pair of
 vectors that its relations read and reports the relations as rows.
 """
 
@@ -16,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import OutOfDomain, require_interior, require_real
-from .hilbert import StateVector
+from .hilbert import StateVector, orthogonal_complement
 from .report import Relation, RelationReport, Scalar
 
 
@@ -85,17 +88,28 @@ class Scenario(namedtuple("Scenario", "params vectors")):
     ``vectors`` is the read-only label -> vector mapping, in ``LABELS``
     order, that ``build`` fills once. A subclass declares ``LABELS``, which
     maps each figure node label to the read-only attribute that returns its
-    vector, and ``SAMPLED``, the (prepared state, detected outcome) pair
-    whose frequency the oracle samples. A scenario hashes as its params, and
-    pickle and deepcopy rebuild it through ``build``.
+    vector; ``NETWORK``, its figure, whose nodes are the labels; and
+    ``SAMPLED``, the (prepared state, detected outcome) pair whose
+    frequency the oracle samples. A scenario hashes as its params, and
+    pickle and deepcopy rebuild it through ``build`` from every vector.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        labels = tuple(cls.LABELS)
+        if set(labels) != set(cls.NETWORK.nodes):
+            raise ValueError(f"{cls.__name__}: LABELS and NETWORK name different outcomes")
         for label, attr in cls.LABELS.items():
             setattr(cls, attr, property(lambda self, label=label: self.vectors[label]))
+        edges = set(cls.NETWORK.edges)
+        # Each label with its figure neighbours that come before it in LABELS:
+        # the vectors that a derived label is the complement of, in that order.
+        cls._PLAN = tuple(
+            (label, tuple(x for x in labels[:i] if (x, label) in edges or (label, x) in edges))
+            for i, label in enumerate(labels)
+        )
 
     def __hash__(self) -> int:
         return hash(self.params)
@@ -105,13 +119,33 @@ class Scenario(namedtuple("Scenario", "params vectors")):
         return type(self).build, (self.params, tuple(self.vectors.values()))
 
     @classmethod
-    def build(cls, params: Params, vectors: Sequence[StateVector]):
-        """The scenario of ``params`` whose vectors, given in ``LABELS`` order, get its labels.
+    def build(cls, params: Params, given: Sequence[StateVector]):
+        """The scenario of ``params`` whose first ``len(given)`` labels get ``given``.
+
+        Each remaining label, in ``LABELS`` order, is the
+        ``orthogonal_complement`` of its planned neighbours, n - 1 of them in
+        dimension n; every count is checked before any complement is formed.
 
         Raises:
-            ValueError: if there are not as many vectors as labels.
+            ValueError: if there are no vectors or more than labels, or a label
+                to derive has another number of planned neighbours.
+            DegenerateSpan: if a label's planned neighbours are dependent.
         """
-        return cls(params, MappingProxyType(dict(zip(cls.LABELS, vectors, strict=True))))
+        n = len(given)
+        if not 0 < n <= len(cls._PLAN):
+            raise ValueError(f"{n} vectors for {len(cls._PLAN)} labels")
+        vectors = dict(zip(cls.LABELS, given))
+        derived = cls._PLAN[n:]
+        rank = len(given[0]._components) - 1
+        for label, neighbours in derived:
+            if len(neighbours) != rank:
+                raise ValueError(
+                    f"{label!r} has {len(neighbours)} earlier neighbours in NETWORK, "
+                    f"not the {rank} that fix it in dimension {rank + 1}"
+                )
+        for label, neighbours in derived:
+            vectors[label] = orthogonal_complement([vectors[x] for x in neighbours])
+        return cls(params, MappingProxyType(vectors))
 
     def realization(self) -> Mapping[str, StateVector]:
         """The label -> vector assignment that ``validate_realization`` checks."""

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,11 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import contextnet
-from contextnet import cli, hardy3
+from contextnet import cli, hardy3, nonlocal4
 from contextnet.cli import RESIDUAL_THRESHOLD, main
 from contextnet.errors import BOUNDARY_MARGIN
-from contextnet.network import ContextNetwork, builtin_network
+from contextnet.hilbert import ORTH_TOL, inner
+from contextnet.network import ContextNetwork, builtin_network, validate_realization
 from contextnet.report import report_to_json
 
 
@@ -109,6 +111,29 @@ class TestVerify:
         assert main(["verify", "hardy3", "--params", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("module,params", [
+        (hardy3, {"alpha": a, "beta": b}) for a in (1e-9, 0.5, 1 - 1e-9) for b in (1e-9, 1 - 1e-9)
+    ] + [(nonlocal4, {"a2": x}) for x in (1e-9, 0.5, 1 - 1e-9)])
+    def test_network_key_checks_the_scenarios_figure(self, module, params, tmp_path, capsys):
+        # The figure check is added after the report's keys, and at the
+        # corners of the domain every required non-edge keeps an overlap of
+        # about 10 ORTH_TOL, so none is near the gate.
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        kind = module.__name__.rpartition(".")[2]
+        assert main(["verify", kind, "--params", str(path)]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        s = module.build(module.PARAMS(**params))
+        net = s.NETWORK
+        assert list(doc) == ["params", "relations", "phase_canon", "metadata", "network"]
+        assert doc["network"] == {
+            "edges": len(net.edges), "non_edges": len(net.required_non_edges), "violations": [],
+        }
+        assert err == ""
+        thinnest = min(abs(inner(s.vectors[a], s.vectors[b])) for a, b in net.required_non_edges)
+        assert thinnest > 9 * ORTH_TOL
+
     def test_interior_params_verify_clean(self, tmp_path, capsys):
         for i, (alpha, beta) in enumerate([(0.11, 0.83), (0.42, 0.58), (0.97, 0.03)]):
             path = tmp_path / f"p{i}.json"
@@ -120,14 +145,39 @@ class TestVerify:
 
 
 class TestVerifyFailure:
-    """A relation at or above the threshold, or NaN, exits 1 after the full report."""
+    """A relation at or above the threshold, or NaN, or a broken pair of the
+    figure, exits 1 after the full report."""
 
     def _run(self, params_path, capsys):
         code = main(["verify", "hardy3", "--params", params_path])
         out, err = capsys.readouterr()
         doc = json.loads(out)
         del doc["metadata"]["timestamp"]
+        assert doc.pop("network")["violations"] == []
         return code, doc, err
+
+    def test_a_broken_edge_fails_and_names_the_pair(self, hardy_params, capsys, monkeypatch):
+        # No relation reads S1, so only the figure check sees it replaced
+        # by |3>, which is orthogonal to 1 but not to D1 or f.
+        build = hardy3.build
+
+        def with_s1_at_3(params):
+            s = build(params)
+            return s._replace(vectors=types.MappingProxyType({**s.vectors, "S1": s.k3}))
+
+        monkeypatch.setattr(hardy3, "build", with_s1_at_3)
+        code = main(["verify", "hardy3", "--params", hardy_params])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        s = with_s1_at_3(hardy3.ScenarioParams(0.5, 0.5))
+        violations = validate_realization(s.NETWORK, s.vectors)
+        assert [v.pair for v in violations] == [("D1", "S1"), ("S1", "f")]
+        assert code == 1
+        assert all(r["residual"] < RESIDUAL_THRESHOLD for r in doc["relations"])
+        assert doc["network"]["violations"] == [
+            {"kind": "edge", "pair": list(v.pair), "overlap": v.overlap} for v in violations
+        ]
+        assert err.splitlines() == ["FAIL network: edge (D1, S1)", "FAIL network: edge (S1, f)"]
 
     def test_zero_threshold_fails_the_first_relation(self, hardy_params, capsys, monkeypatch):
         monkeypatch.setattr(cli, "RESIDUAL_THRESHOLD", 0.0)
@@ -623,11 +673,11 @@ class TestJsonText:
 
     @pytest.mark.parametrize("argv,params,digest", [
         (["verify", "hardy3"], {"alpha": 0.5, "beta": 0.5},
-         "2b77e4be2789487d4290aec2ff5573e5a5634b5c39e568ded4d4695408f49890"),
+         "ab952a1ac0eb353e4e86e031626b0fe42fe6a31f03c94ca2ffebe543fd3f2da9"),
         (["verify", "hardy3"], {"alpha": 0.999999999, "beta": 0.999999999},
-         "4e5a3c1659c82aa27eb70336f2e99beae6001b580d9a727b76424f3afc178089"),
+         "24971b9b650c948cdd1f077c62f4a521b5a6e83237b2f43a1ea8721e641d2831"),
         (["verify", "nonlocal4"], {"a2": 0.5},
-         "015680a6a1f173dd94e8e6b9a7dfe445d7853b2eb7209ec3c3488b405f859a55"),
+         "1a73b30d75a6af2afa9e3a3da834ebadfeb755780aac38ce34c563aec0d82487"),
         (["graph", "--figure", "1"], None,
          "d78e06a5c015690d4228e5fa099bc50e5c6506f9ba850e4359791c6009d17b32"),
         (["graph", "--figure", "2"], None,

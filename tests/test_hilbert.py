@@ -125,7 +125,7 @@ class TestStateVector:
     def test_components_are_numpys_complex128_cast(self, data):
         floats = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
         dtype = data.draw(st.sampled_from(
-            [np.float32, np.float64, np.complex64, np.complex128, np.int64, None]))
+            [np.float32, np.float64, np.complex64, np.complex128, np.int64, np.bool_, None]))
         if dtype is None:  # a Python list of mixed numbers
             x = data.draw(st.lists(
                 st.integers(-2**60, 2**60) | floats | st.builds(complex, floats, floats),

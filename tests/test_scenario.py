@@ -6,7 +6,7 @@ as the conjugated cofactor (generalised cross) product of its inputs, from
 the Laplace expansion, normalised and phased by ``conj(c) / |c|``
 (``reference_complement``), each norm the square root of a left-to-right
 sum, and one ``inner`` call per overlap of a relation row. Built vectors,
-in ``LABELS`` order, and reports must equal them byte for byte, so a change
+label by label, and reports must equal them byte for byte, so a change
 in how the products are formed or how the overlaps are computed cannot move
 a bit unnoticed.
 """
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import contextnet
-from contextnet import cli, hardy3, hilbert, nonlocal4, oracle
+from contextnet import cli, hardy3, hilbert, nonlocal4, oracle, scenario
 from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
 from contextnet.hardy3 import verify_all as verify_hardy
@@ -44,7 +44,8 @@ from contextnet.nonlocal4 import LocalParams, NonlocalScenario, build_nonlocal
 from contextnet.nonlocal4 import verify_all as verify_nonlocal
 from contextnet.report import Relation, RelationReport, nan_max, report_to_json
 
-#: Each scenario's derived labels, each with the labels it is orthogonal to.
+#: Each scenario's derived labels, each with the labels it is orthogonal to,
+#: in the order that ``Scenario.build`` passes them to ``orthogonal_complement``.
 DERIVED = {
     HardyScenario: {
         "S1": ("1", "D1"), "S2": ("2", "D2"), "f": ("S1", "S2"), "N_f": ("D1", "D2"),
@@ -80,8 +81,12 @@ def test_vectors_are_stored_once_and_read_only(build, params, other):
     with pytest.raises(AttributeError):
         s.n_f = s.n_f
     assert list(s.vectors) == list(s.LABELS)
-    with pytest.raises(ValueError):  # one vector short of LABELS
-        type(s).build(params, list(s.vectors.values())[:-1])
+    given = list(s.vectors.values())
+    with pytest.raises(ValueError, match=f"^{len(given) + 1} vectors for {len(given)} labels$"):
+        type(s).build(params, given + given[:1])
+    # one vector short of LABELS: build derives the last label, bit for bit
+    short = type(s).build(params, given[:-1])
+    assert [_bytes(v) for v in short.vectors.values()] == [_bytes(v) for v in given]
     for label, attr in s.LABELS.items():
         assert getattr(s, attr) is s.vectors[label]
     assert s.realization() is s.vectors
@@ -217,16 +222,50 @@ def test_derived_vectors_are_complement_calls_in_labels_order(module, params, mo
         made.append(orthogonal_complement(vectors))
         return made[-1]
 
-    monkeypatch.setattr(module, "orthogonal_complement", recording)
+    monkeypatch.setattr(scenario, "orthogonal_complement", recording)
     s = module.build(params)
     derived = DERIVED[type(s)]
-    # DERIVED names every labelled vector that a complement call made, and no other
-    assert {label for label, v in s.vectors.items() if any(v is m for m in made)} == set(derived)
+    # build makes one complement call per derived label, in LABELS order, and no other
+    assert [label for label, v in s.vectors.items() if any(v is m for m in made)] == list(derived)
+    assert len(made) == len(derived)
     for label, neighbours in derived.items():
         v = orthogonal_complement([s.vectors[other] for other in neighbours])
         assert _bytes(s.vectors[label]) == _bytes(v), label
-    # hardy3's f is built last, after N_f, but keeps its LABELS place
     assert list(s.vectors) == list(s.LABELS)
+
+
+@pytest.mark.parametrize("cls", [HardyScenario, NonlocalScenario])
+def test_the_plan_is_each_labels_earlier_figure_neighbours(cls):
+    derived = DERIVED[cls]
+    plan = dict(cls._PLAN)
+    assert list(plan) == list(cls.LABELS)
+    assert {label: plan[label] for label in derived} == derived
+    # the derived labels come last, so the builder gives a prefix of LABELS
+    assert list(cls.LABELS)[-len(derived):] == list(derived)
+    for label, neighbours in plan.items():
+        for other in neighbours:
+            assert tuple(sorted((label, other))) in cls.NETWORK.edges
+
+
+def test_a_figure_without_an_edge_fails_build_before_any_complement(monkeypatch):
+    net = HardyScenario.NETWORK
+
+    class WithoutFS2(HardyScenario):
+        NETWORK = net._replace(edges=[e for e in net.edges if e != ("S2", "f")])
+        __slots__ = ()
+
+    given = list(build_scenario(ScenarioParams(0.3, 0.7)).vectors.values())[:5]
+    calls = []
+    monkeypatch.setattr(scenario, "orthogonal_complement", calls.append)
+    message = "'f' has 1 earlier neighbours in NETWORK, not the 2 that fix it in dimension 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WithoutFS2.build(ScenarioParams(0.3, 0.7), given)
+    assert calls == []
+    with pytest.raises(ValueError, match="^0 vectors for 9 labels$"):
+        WithoutFS2.build(ScenarioParams(0.3, 0.7), [])
+    with pytest.raises(ValueError, match="LABELS and NETWORK name different outcomes"):
+        class WithoutNf(HardyScenario):
+            NETWORK = NETWORKS[2]
 
 
 def make_points(seed, n):
@@ -411,7 +450,7 @@ def test_vectors_and_reports_match_the_reference_bit_for_bit(seed):
             s, report = build_nonlocal(p), verify_nonlocal
             vectors, expected = reference_nonlocal(p)
         built = dict(s.vectors)
-        assert list(built) == list(vectors)
+        assert sorted(built) == sorted(vectors)
         for name, v in vectors.items():
             assert _bytes(built[name]) == _bytes(v), (p, name)
         got = json.dumps(hex_floats(report_to_json(report(s))))
