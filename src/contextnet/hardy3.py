@@ -92,12 +92,11 @@ def build_scenario(params: ScenarioParams) -> HardyScenario:
     the predicted_* closed forms.
     """
     a, b = params.alpha, params.beta
-    d1 = StateVector._of(
-        (0j, complex(math.sqrt(1.0 - a)), cmath.exp(1j * params.phase_d1) * math.sqrt(a))
-    )
-    d2 = StateVector._of(
-        (complex(math.sqrt(1.0 - b)), 0j, cmath.exp(1j * params.phase_d2) * math.sqrt(b))
-    )
+    # complex operands only: Python 3.14 no longer makes a float operand complex first
+    e1 = cmath.exp(1j * complex(params.phase_d1)) * complex(math.sqrt(a))
+    e2 = cmath.exp(1j * complex(params.phase_d2)) * complex(math.sqrt(b))
+    d1 = StateVector._of((0j, complex(math.sqrt(1.0 - a)), e1))
+    d2 = StateVector._of((complex(math.sqrt(1.0 - b)), 0j, e2))
     return HardyScenario.build(params, (*BASIS, d1, d2))
 
 

@@ -12,7 +12,10 @@ The arithmetic on vectors is Python's: a ``StateVector`` holds a tuple of
 Python ``complex``, and ``inner``, ``tensor``, ``cofactor``,
 ``orthogonal_complement``, ``canonical_phase`` and every norm are IEEE
 ``+ - * /`` on them, each sum added left to right (``sum`` of floats rounds
-differently from Python 3.12 on). No numpy or BLAS kernel, whose SIMD and
+differently from Python 3.12 on). No operation mixes a ``complex`` and a
+``float`` operand: each float is made ``complex(x)`` first, which is what
+Python before 3.14 did itself, while 3.14 follows C99 Annex G and would
+give some zeros the other sign. No numpy or BLAS kernel, whose SIMD and
 FMA paths depend on the host, touches a vector, so the bits are the same on
 every host. The module imports no numpy: building, reporting, copying and
 pickling a scenario run without it.
@@ -96,10 +99,6 @@ class StateVector:
     def components(self) -> tuple[complex, ...]:
         """The components, a tuple of Python ``complex``."""
         return self._components
-
-    @property
-    def dim(self) -> int:
-        return len(self._components)
 
     def norm(self) -> float:
         return math.sqrt(squared_norm(self._components))
@@ -228,7 +227,7 @@ def canonical_phase(components: Sequence[complex]) -> tuple[complex, ...]:
     for c in components:
         magnitude = abs(c)
         if magnitude > ORTH_TOL:
-            phase = c.conjugate() / magnitude
+            phase = c.conjugate() / complex(magnitude)
             return tuple([z * phase for z in components])
     raise ValueError("cannot fix the phase of a numerically zero vector")
 
@@ -301,5 +300,5 @@ def orthogonal_complement(vectors: Sequence[StateVector]) -> StateVector:
         raise DegenerateSpan(
             f"inputs have Gram determinant {gram!r}, not a finite value above {ORTH_TOL}"
         )
-    norm = math.sqrt(gram)
+    norm = complex(math.sqrt(gram))
     return StateVector._of(canonical_phase([z / norm for z in c]))

@@ -23,6 +23,14 @@ measured probability be traced back to the single local overlap <a|0>:
     |<f_NL|a,a>|^2 = 1 - (1 - a2)^2
     |<a,a|N_f>|^2  = a2^2 (1 - a2) / (1 + a2)        (= 1/12 at a2 = 1/2)
 
+Read as the 2 x 2 matrix C = [[c00, c01], [c10, c11]], a product ket has
+det C = 0, while
+
+    |det C(f_NL)| = (1 - a2) / (2 - a2)    |det C(N_f)| = a2 / (1 + a2)
+
+are nonzero at every interior a2: the two derived outcomes are entangled.
+|det C| is the product of the two Schmidt coefficients.
+
 Product-basis ordering is (00, 01, 10, 11) throughout.
 """
 
@@ -32,7 +40,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import DegenerateSpan, DimensionMismatch, require_interior
+from .errors import require_interior
 from .hilbert import StateVector, basis_vector, inner, orthogonal_complement, squared_norm, tensor
 from .network import NETWORKS, ContextNetwork
 from .report import RelationReport, nan_max
@@ -91,9 +99,9 @@ def build_nonlocal(params: LocalParams) -> NonlocalScenario:
     b,0  0,b  1,1 and N_f of a,0  0,a  1,1.
     """
     a2 = params.a2
-    ka = StateVector._of(
-        (cmath.exp(1j * params.phase_a) * math.sqrt(a2), complex(math.sqrt(1.0 - a2)))
-    )
+    # complex operands only: Python 3.14 no longer makes a float operand complex first
+    e = cmath.exp(1j * complex(params.phase_a)) * complex(math.sqrt(a2))
+    ka = StateVector._of((e, complex(math.sqrt(1.0 - a2))))
     kb = orthogonal_complement([ka])
     k0 = BASIS[0]
     k00, k01, k10, k11 = PRODUCT_BASIS
@@ -144,30 +152,6 @@ def _faa(x):
 
 def _aa_nf(x):
     return x * x * (1 - x) / (1 + x)
-
-
-def schmidt_coefficients(v: StateVector) -> tuple[float, float]:
-    """Singular values (descending) of a dimension-4 vector as a 2x2 array.
-
-    The vector is read in the fixed product ordering (00, 01, 10, 11) as C.
-    With a and d the squared norms of C's rows and b their inner product,
-    the larger value is sqrt((a + d + hypot(a - d, 2|b|)) / 2) and the
-    smaller |det C| over it, so neither cancels when the two are close. A
-    second value above round-off means the state is entangled.
-
-    Raises:
-        DimensionMismatch: if the vector is not of dimension 4.
-        DegenerateSpan: if the vector is not finite.
-    """
-    if v.dim != 4:
-        raise DimensionMismatch(f"need a dimension-4 vector, got {v.dim}")
-    c00, c01, c10, c11 = c = v._components
-    if not all(cmath.isfinite(z) for z in c):
-        raise DegenerateSpan(f"components {c} are not finite")
-    a, d = squared_norm((c00, c01)), squared_norm((c10, c11))
-    b = c00 * c10.conjugate() + c01 * c11.conjugate()
-    largest = math.sqrt((a + d + math.hypot(a - d, 2 * abs(b))) / 2)
-    return largest, abs(c00 * c11 - c01 * c10) / largest if largest else 0.0
 
 
 def verify_all(s: NonlocalScenario) -> RelationReport:

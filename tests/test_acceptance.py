@@ -27,10 +27,10 @@ from contextnet.nonlocal4 import (
     predicted_aa_nf,
     predicted_faa,
     predicted_fnl_nf,
-    schmidt_coefficients,
 )
 from contextnet.oracle import estimate
 from contextnet.report import nan_max
+from test_nonlocal4 import det_c
 
 ONE_NINTH = 1 / 9
 ONE_TWELFTH = 1 / 12
@@ -186,7 +186,7 @@ def test_criterion_6_graph_faithfulness_and_entanglement():
     grid = np.linspace(0.05, 0.95, 19)
 
     total_violations = 0
-    schmidt_ok = True
+    det_ok = True
     for t in grid:
         hardy = build_scenario(ScenarioParams(float(t), float(1.0 - t), 0.6 * t, -1.2 * t))
         total_violations += len(validate_realization(fig2, hardy.realization()))
@@ -195,20 +195,21 @@ def test_criterion_6_graph_faithfulness_and_entanglement():
         total_violations += len(validate_realization(fig3, nl.realization()))
         total_violations += len(validate_realization(fig4, nl.realization()))
 
-        # the replacement for f must be entangled; every product outcome must
-        # stay a product state (N_f, like f_NL, is entangled by construction)
-        schmidt_ok &= schmidt_coefficients(nl.f_nl)[1] > 1e-10
+        # f_NL, the replacement for f, and N_f must be entangled: |det C| is
+        # s_max * s_min with s_max <= 1, so it bounds s_min from below. Every
+        # product outcome must stay a product state, det C = 0 up to round-off.
         for label, ket in nl.vectors.items():
             if label in ("f_NL", "N_f"):
-                continue
-            schmidt_ok &= schmidt_coefficients(ket)[1] < 1e-12
+                det_ok &= det_c(ket) > 1e-10
+            else:
+                det_ok &= det_c(ket) < 1e-15
 
-    ok = total_violations == 0 and schmidt_ok
+    ok = total_violations == 0 and det_ok
     _report(
         "6 graph-faithfulness",
         ok,
         f"{total_violations} violations across 19-point grid, "
-        f"Schmidt classification {'clean' if schmidt_ok else 'broken'}",
+        f"det C classification {'clean' if det_ok else 'broken'}",
     )
     assert ok
 

@@ -372,11 +372,25 @@ def test_figure_edges_are_exactly_orthogonal_and_required_non_edges_are_not(
             assert _inner(v[a], v[b]) != 0, (point, a, b)
 
 
+def _det2(v):
+    """|det C|^2 / <v|v>^2 of ``v`` read as C = [[c00, c01], [c10, c11]], a Fraction."""
+    c00, c01, c10, c11 = v
+    d = c00 * c11 - c01 * c10
+    return (d.re * d.re + d.im * d.im) / _norm2(v) ** 2
+
+
 def test_only_f_nl_and_n_f_are_entangled():
     # The vector read as a 2 x 2 array C has det C = 0 exactly for a product
-    # ket; |det C| is the product of its two Schmidt coefficients.
+    # ket; |det C| is the product of its two Schmidt coefficients, and for
+    # the unit f_NL and N_f it is (1 - a2) / (2 - a2) and a2 / (1 + a2).
     for point in NONLOCAL4_POINTS:
+        A2 = point[0][0] ** 2
         v = _nonlocal4_vectors(point)
         for attr in NonlocalScenario.LABELS.values():
             c00, c01, c10, c11 = v[attr]
             assert (c00 * c11 - c01 * c10 != 0) == (attr in ("f_nl", "n_f")), (point, attr)
+        assert _det2(v["f_nl"]) == ((1 - A2) / (2 - A2)) ** 2, point
+        assert _det2(v["n_f"]) == (A2 / (1 + A2)) ** 2, point
+    v = _nonlocal4_vectors(NONLOCAL4_POINTS[0])  # a2 = 9/25
+    assert _det2(v["f_nl"]) == F(16, 41) ** 2
+    assert _det2(v["n_f"]) == F(9, 34) ** 2

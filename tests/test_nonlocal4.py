@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextnet import nonlocal4
-from contextnet.errors import DegenerateSpan, DimensionMismatch, OutOfDomain
+from contextnet.errors import OutOfDomain
 from contextnet.hardy3 import predicted_paradox
 from contextnet.hilbert import StateVector, inner, tensor
 from contextnet.nonlocal4 import (
@@ -17,7 +17,6 @@ from contextnet.nonlocal4 import (
     predicted_aa_nf,
     predicted_faa,
     predicted_fnl_nf,
-    schmidt_coefficients,
     verify_all,
 )
 from test_scenario import make_points
@@ -25,8 +24,6 @@ from test_scenario import make_points
 interior = st.floats(min_value=0.01, max_value=0.99)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 local_params = st.builds(LocalParams, a2=interior, phase_a=phases)
-
-SQRT_HALF = math.sqrt(0.5)
 
 
 @pytest.fixture(scope="module")
@@ -179,54 +176,32 @@ class TestAaDecomposition:
         assert math.isnan(row.direct_value) and math.isnan(row.residual)
 
 
+def det_c(v):
+    """|det C| of a dimension-4 vector read as C = [[c00, c01], [c10, c11]]."""
+    c00, c01, c10, c11 = v.components
+    return abs(c00 * c11 - c01 * c10)
+
+
 class TestSchmidt:
     def test_product_state_is_rank_one(self, center):
-        first, second = schmidt_coefficients(center.kaa)
-        assert first == pytest.approx(1.0, abs=1e-12)
-        assert second < 1e-12
-
-    def test_maximally_entangled(self):
-        bell = StateVector([0.0, SQRT_HALF, SQRT_HALF, 0.0])
-        for value in schmidt_coefficients(bell):
-            assert abs(value - SQRT_HALF) <= math.ulp(SQRT_HALF)
-
-    def test_basis_ket_is_exactly_one_and_zero(self):
-        for ket in PRODUCT_BASIS:
-            assert schmidt_coefficients(ket) == (1.0, 0.0)
-        assert schmidt_coefficients(StateVector([0.0] * 4)) == (0.0, 0.0)
-
-    def test_matches_the_svd_over_seeded_points(self):
-        # every vector of the nonlocal4 points of make_points(2024, 20000),
-        # a fifth of them within 1e-3 of a2 = 1
-        vectors = [v for p in make_points(2024, 20000)[1::2]
-                   for v in build_nonlocal(p).vectors.values()]
-        got = np.array([schmidt_coefficients(v) for v in vectors])
-        svd = np.linalg.svd(np.array([v.components for v in vectors]).reshape(-1, 2, 2),
-                            compute_uv=False)
-        assert np.abs(got - svd).max() <= 2e-15
+        assert det_c(center.kaa) < 1e-15
 
     def test_fnl_is_entangled(self, center):
-        assert schmidt_coefficients(center.f_nl)[1] > 1e-10
+        assert det_c(center.f_nl) == pytest.approx(1.0 / 3.0, rel=4e-15)
 
     def test_entanglement_across_sweep(self):
-        # derived outcomes stay entangled, everything else stays product
-        for a2 in np.linspace(0.02, 0.98, 97):
-            s = build_nonlocal(LocalParams(float(a2)))
-            assert schmidt_coefficients(s.f_nl)[1] > 1e-6
-            assert schmidt_coefficients(s.n_f)[1] > 1e-6
+        # |det C| is the product of C's two Schmidt coefficients: 0 for a
+        # product ket, a closed form in a2 for f_NL and N_f. The points are the
+        # nonlocal4 ones of make_points(2024, 20000), a fifth of them within
+        # 1e-3 of a2 = 1, and the two domain corners.
+        points = make_points(2024, 20000)[1::2] + [LocalParams(1e-9), LocalParams(1.0 - 1e-9)]
+        for p in points:
+            s, x = build_nonlocal(p), p.a2
+            for label, closed in (("f_NL", (1.0 - x) / (2.0 - x)), ("N_f", x / (1.0 + x))):
+                assert abs(det_c(s.vectors[label]) - closed) <= 4e-15 * closed, (p, label)
             for label, ket in s.vectors.items():
-                if label in ("f_NL", "N_f"):
-                    continue
-                assert schmidt_coefficients(ket)[1] < 1e-12, label
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            schmidt_coefficients(StateVector([1.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DegenerateSpan, match="not finite"):
-            schmidt_coefficients(StateVector([bad, 0.0, 0.0, 0.0]))
+                if label not in ("f_NL", "N_f"):
+                    assert det_c(ket) < 1e-15, (p, label)
 
 
 class TestVerifyAll:

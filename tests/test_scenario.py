@@ -5,10 +5,12 @@ each builder and report in Python complex arithmetic: each derived vector
 as the conjugated cofactor (generalised cross) product of its inputs, from
 the Laplace expansion, normalised and phased by ``conj(c) / |c|``
 (``reference_complement``), each norm the square root of a left-to-right
-sum, and one ``inner`` call per overlap of a relation row. Built vectors,
-label by label, and reports must equal them byte for byte, so a change
-in how the products are formed or how the overlaps are computed cannot move
-a bit unnoticed.
+sum, and one ``inner`` call per overlap of a relation row. Every operand of
+a vector's arithmetic is complex, as in the builders: Python 3.14 no
+longer makes a float operand complex first, which would move signed
+zeros. Built vectors, label by label, and reports must equal them byte for
+byte, so a change in how the products are formed or how the overlaps are
+computed cannot move a bit unnoticed.
 """
 
 import cmath
@@ -64,7 +66,8 @@ def test_built_vectors_keep_their_derived_orthogonality(build, params):
     s = build(params)
     derived = DERIVED[type(s)]
     # n - 1 neighbours fix each derived vector in dimension n
-    assert {v.dim for v in s.vectors.values()} == {len(o) + 1 for o in derived.values()}
+    dims = {len(v.components) for v in s.vectors.values()}
+    assert dims == {len(o) + 1 for o in derived.values()}
     for label, orthogonal_to in derived.items():
         for other in orthogonal_to:
             assert abs(inner(s.vectors[label], s.vectors[other])) < ORTH_TOL, (label, other)
@@ -336,10 +339,10 @@ def reference_complement(vectors):
     c = [z.conjugate() for z in c]
     gram = reference_squared_norm(c)
     assert ORTH_TOL < gram < math.inf
-    norm = math.sqrt(gram)
+    norm = complex(math.sqrt(gram))
     c = [z / norm for z in c]
     first = next(z for z in c if abs(z) > ORTH_TOL)
-    phase = first.conjugate() / abs(first)
+    phase = first.conjugate() / complex(abs(first))
     return StateVector([z * phase for z in c])
 
 
@@ -347,8 +350,10 @@ def reference_hardy(p):
     """(label -> vector, report) of the dimension-3 scenario, spelled out."""
     a, b = p.alpha, p.beta
     k1, k2, k3 = (basis_vector(3, i) for i in range(3))
-    d1 = StateVector([0.0, math.sqrt(1.0 - a), cmath.exp(1j * p.phase_d1) * math.sqrt(a)])
-    d2 = StateVector([math.sqrt(1.0 - b), 0.0, cmath.exp(1j * p.phase_d2) * math.sqrt(b)])
+    e1 = cmath.exp(1j * complex(p.phase_d1)) * complex(math.sqrt(a))
+    e2 = cmath.exp(1j * complex(p.phase_d2)) * complex(math.sqrt(b))
+    d1 = StateVector([0.0, math.sqrt(1.0 - a), e1])
+    d2 = StateVector([math.sqrt(1.0 - b), 0.0, e2])
     s1 = reference_complement([k1, d1])
     s2 = reference_complement([k2, d2])
     f = reference_complement([s1, s2])
@@ -392,7 +397,8 @@ def reference_nonlocal(p):
     """
     x = p.a2
     k0, k1 = basis_vector(2, 0), basis_vector(2, 1)
-    ka = StateVector([cmath.exp(1j * p.phase_a) * math.sqrt(x), math.sqrt(1.0 - x)])
+    e = cmath.exp(1j * complex(p.phase_a)) * complex(math.sqrt(x))
+    ka = StateVector([e, math.sqrt(1.0 - x)])
     kb = reference_complement([ka])
     k00, k01, k10, k11 = (tensor(u, v) for u in (k0, k1) for v in (k0, k1))
     ka0, k0a = tensor(ka, k0), tensor(k0, ka)
@@ -482,12 +488,24 @@ def test_gram_sums_do_not_depend_on_the_python_version():
     # N_f of D1 and D2 at alpha = 0.2, beta = 0.7 is a row where the Gram
     # determinant added left to right and the compensated sum that ``sum``
     # of floats makes from Python 3.12 on differ in the last bit; the first
-    # component would then end in ...858. These bits hold on every version.
+    # component would then end in ...858. The signed zeros of N_f, S1 and
+    # f_NL at a2 = 0.5 are those of complex operands only: Python 3.14's
+    # complex-by-float arithmetic would flip one in each. These bits hold
+    # on every version.
     s = build_scenario(ScenarioParams(0.2, 0.7))
     assert [_hex(z) for z in s.n_f.components] == [
         ("0x1.9d281a4e8c857p-1", "0x0.0p+0"),
         ("0x1.0e797a0a15212p-2", "0x0.0p+0"),
         ("-0x1.0e797a0a15212p-1", "0x0.0p+0"),
+    ]
+    assert [_hex(z) for z in s.s1.components] == [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.c9f25c5bfeddap-2", "-0x0.0p+0"),
+        ("-0x1.c9f25c5bfeddap-1", "0x0.0p+0"),
+    ]
+    root_third = ("0x1.279a74590331cp-1", "0x0.0p+0")
+    assert [_hex(z) for z in build_nonlocal(LocalParams(0.5)).f_nl.components] == [
+        root_third, root_third, root_third, ("-0x0.0p+0", "0x0.0p+0"),
     ]
     c = hilbert.cofactor([s.d1.components, s.d2.components])
     terms = [z.real * z.real + z.imag * z.imag for z in c]
