@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
-from .errors import ContextNetError, require_interior
+from .errors import require_interior
 from .network import NETWORKS, builtin_network, network_to_json, validate_realization
 from .report import report_to_json
 
@@ -104,8 +104,6 @@ def cmd_sweep(
     not fit in memory is bad input too. ``out`` is opened, and echoed in
     the summary line, as given.
     """
-    import numpy as np
-
     if grid < 3:
         raise ValueError("grid needs at least 3 points per axis")
     for name, (lo, hi) in (("alpha", alpha_range), ("beta", beta_range)):
@@ -117,6 +115,8 @@ def cmd_sweep(
     # fails on it with errors that do not name the grid (IndexError at 2**63).
     if grid > sys.maxsize // 8:
         raise ValueError(too_large)
+    import numpy as np  # after the checks above, so they fail alike without numpy
+
     try:
         alpha_axis = np.linspace(alpha_range[0], alpha_range[1], grid)
         alphas = alpha_axis.tolist()
@@ -218,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; every bad input, whatever the command, exits 2 here."""
+    """Run one subcommand; every bad input, whatever the command, exits 2 here.
+
+    Bad input is a ``ValueError`` or ``OSError``; a ``TypeError`` is a defect.
+    """
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
@@ -235,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"error: {args.command} needs numpy", file=sys.stderr)
         return 2
-    except (ContextNetError, ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each is a ``ValueError``, as Python's own domain error (``math.sqrt(-1)``) is.
+"""
 
 from __future__ import annotations
 
 import numbers
 
 
-class ContextNetError(Exception):
-    """Base class for every error raised by this package."""
+class ContextNetError(ValueError):
+    """Base class of the package's named bad-value errors."""
 
 
 class DimensionMismatch(ContextNetError):
@@ -27,10 +30,6 @@ class OutOfDomain(ContextNetError):
 
 class MissingAssignment(ContextNetError):
     """A network node has no vector assigned to it."""
-
-
-class EmptyTrials(ContextNetError):
-    """Sampling needs a positive number of trials."""
 
 
 #: Probability parameters this close to 0 or 1 are rejected: the scenario

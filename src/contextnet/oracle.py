@@ -14,7 +14,6 @@ import math
 import numbers
 from collections import namedtuple
 
-from .errors import EmptyTrials
 from .hilbert import StateVector, born_probability
 from .scenario import Scenario
 
@@ -53,25 +52,22 @@ def sample_context(
 
     Raises:
         TypeError: if ``seed`` or ``trials`` is not an integer (a bool is not).
-        ValueError: if ``seed`` lies outside [0, ``MAX_SEED``].
-        EmptyTrials: if ``trials`` < 1.
-        ValueError: if ``trials`` > ``MAX_TRIALS``.
+        ValueError: if ``seed`` lies outside [0, ``MAX_SEED``] or ``trials``
+            outside [1, ``MAX_TRIALS``].
         DimensionMismatch: if the dimensions differ (from ``born_probability``).
         NotNormalized: if either vector is not unit norm (from ``born_probability``).
     """
-    import numpy as np
-
     for name, value in (("seed", seed), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name}={value!r} must be an integer")
     seed, trials = int(seed), int(trials)  # plain ints, so estimates serialise
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed={seed}; seeds run from 0 to {MAX_SEED}")
-    if trials < 1:
-        raise EmptyTrials(f"trials={trials}; need at least 1")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials={trials}; the sampler takes at most {MAX_TRIALS}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials={trials}; trials run from 1 to {MAX_TRIALS}")
     p = born_probability(prep, outcome)
+    import numpy as np  # after every check, so bad input fails alike without numpy
+
     count = int(np.random.Generator(np.random.Philox(seed)).binomial(trials, p))
     e = count / trials
     return SampleEstimate(e, math.sqrt(e * (1.0 - e) / trials), trials, seed, count)

@@ -62,11 +62,11 @@ class TestScenarioParams:
         assert p.phase_d1 == 0.0 and p.phase_d2 == 0.0
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown parameter keys"):
             ScenarioParams.from_dict({"alpha": 0.5, "beta": 0.5, "gamma": 1.0})
 
     def test_from_dict_requires_both_magnitudes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parameters require"):
             ScenarioParams.from_dict({"alpha": 0.5})
 
     @pytest.mark.parametrize("value", ["0.5", True, None])

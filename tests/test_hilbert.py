@@ -95,7 +95,7 @@ class TestStateVector:
         assert StateVector([math.nan, 1.0]) != StateVector([0.0, 1.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one component"):
             StateVector([])
 
     @pytest.mark.parametrize("components,message", [
@@ -297,11 +297,11 @@ class TestClampProbability:
                 clamp_probability(beyond)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             clamp_probability(1.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             clamp_probability(-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             clamp_probability(math.nan)
 
 
@@ -560,13 +560,13 @@ class TestCanonicalPhase:
         assert abs(v[1].imag) < 1e-15
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="numerically zero"):
             canonical_phase([0j] * 3)
 
     def test_a_component_of_magnitude_exactly_orth_tol_is_skipped(self):
         # "above ORTH_TOL": the phase comes from the 1j, not from the first entry
         assert canonical_phase([complex(-ORTH_TOL, 0.0), 1j]) == (complex(0.0, ORTH_TOL), 1 + 0j)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="numerically zero"):
             canonical_phase([complex(0.0, ORTH_TOL)])
 
     def test_bits_equal_the_conjugate_over_modulus_form(self):
@@ -582,7 +582,7 @@ class TestCanonicalPhase:
 
 
 def test_basis_vector_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an integer in"):
         basis_vector(3, 3)
     # a bool or a float is not an index: numpy would read True as a mask
     for index in (True, False, 1.0, -1, "1"):

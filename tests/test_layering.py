@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import contextnet
-from contextnet import cli
+from contextnet import cli, errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(contextnet.__path__, "contextnet."))
 
@@ -76,16 +76,24 @@ sys.meta_path.insert(0, RefuseNumpy())
 _WITHOUT_NUMPY = _REFUSE_NUMPY + "from contextnet import cli\ncli.run()\n"
 
 
-@pytest.mark.parametrize("command", ["sample", "sweep"])
-def test_a_command_that_needs_numpy_exits_2_without_it(command, tmp_path):
+_SAMPLE = ["sample", "hardy3", "--params", "{params}", "--seed", "1", "--trials"]
+
+
+@pytest.mark.parametrize("argv,err", [
+    pytest.param(_SAMPLE + ["10"], "error: sample needs numpy\n", id="sample"),
+    pytest.param(["sweep", "--grid", "3", "--out", "{out}"], "error: sweep needs numpy\n",
+                 id="sweep"),
+    # a bad argument is refused before numpy is imported, with the error it gets with numpy
+    pytest.param(_SAMPLE + ["0"], f"error: trials=0; trials run from 1 to {2**63 - 1}\n",
+                 id="sample-trials-0"),
+    pytest.param(["sweep", "--grid", "2", "--out", "{out}"],
+                 "error: grid needs at least 3 points per axis\n", id="sweep-grid-2"),
+])
+def test_a_command_that_needs_numpy_exits_2_without_it(argv, err, tmp_path):
     params, out = tmp_path / "params.json", tmp_path / "sweep.csv"
     params.write_text('{"alpha": 0.5, "beta": 0.5}')
-    argv = {
-        "sample": ["sample", "hardy3", "--params", str(params), "--seed", "1", "--trials", "10"],
-        "sweep": ["sweep", "--grid", "3", "--out", str(out)],
-    }[command]
-    done = _run(_WITHOUT_NUMPY, *argv)
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {command} needs numpy\n")
+    done = _run(_WITHOUT_NUMPY, *[a.format(params=params, out=out) for a in argv])
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
     assert not out.exists()
 
 
@@ -96,6 +104,23 @@ def test_another_missing_module_is_not_bad_input(monkeypatch):
     monkeypatch.setattr(cli, "cmd_graph", missing)
     with pytest.raises(ModuleNotFoundError, match="scipy"):
         cli.main(["graph", "--figure", "1"])
+
+
+def test_a_type_error_is_a_defect_not_bad_input(monkeypatch):
+    # no bad input raises TypeError, so one keeps its traceback rather than exit 2
+    def defect(figure):
+        raise TypeError("a defect")
+
+    monkeypatch.setattr(cli, "cmd_graph", defect)
+    with pytest.raises(TypeError, match="a defect"):
+        cli.main(["graph", "--figure", "1"])
+
+
+def test_every_package_error_is_a_value_error():
+    # so cli.main's ValueError clause turns each into exit 2
+    named = [e for e in vars(errors).values()
+             if isinstance(e, type) and issubclass(e, errors.ContextNetError)]
+    assert errors.OutOfDomain in named and all(issubclass(e, ValueError) for e in named)
 
 
 @pytest.mark.parametrize("module", MODULES)

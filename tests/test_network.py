@@ -112,15 +112,15 @@ class TestBuiltinNetworks:
 
 class TestNetworkValidation:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop"):
             ContextNetwork(nodes=("x", "y"), edges=frozenset({("x", "x")}))
 
     def test_rejects_unknown_node(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown node"):
             ContextNetwork(nodes=("x",), edges=frozenset({("x", "y")}))
 
     def test_rejects_contradictory_pair(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both orthogonal and non-orthogonal"):
             ContextNetwork(
                 nodes=("x", "y"),
                 edges=frozenset({("x", "y")}),
@@ -128,7 +128,7 @@ class TestNetworkValidation:
             )
 
     def test_rejects_duplicate_nodes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate node labels"):
             ContextNetwork(nodes=("x", "x"), edges=frozenset())
 
     def test_list_of_nodes_equals_tuple_built_network(self):

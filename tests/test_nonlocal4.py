@@ -47,7 +47,7 @@ class TestLocalParams:
             LocalParams(0.5, phase)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown parameter keys"):
             LocalParams.from_dict({"a2": 0.5, "alpha": 0.5})
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contextnet import hilbert
-from contextnet.errors import DimensionMismatch, EmptyTrials, NotNormalized
+from contextnet.errors import DimensionMismatch, NotNormalized
 from contextnet.hardy3 import ScenarioParams, build_scenario
 from contextnet.hilbert import StateVector, basis_vector, born_probability
 from contextnet.nonlocal4 import LocalParams, build_nonlocal
@@ -23,6 +23,11 @@ def center():
 
 
 E0 = basis_vector(3, 0)
+
+
+def trials_out_of_range(trials: int) -> str:
+    """The pattern of the one error message of a trial count out of range."""
+    return f"^trials={trials}; trials run from 1 to {MAX_TRIALS}$"
 
 
 class TestSampleContext:
@@ -59,8 +64,10 @@ class TestSampleContext:
         assert a.count != b.count
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(EmptyTrials):
-            sample_context(E0, E0, seed=1, trials=0)
+        # one range check, one message, at both ends of the range
+        for trials in (0, MAX_TRIALS + 1):
+            with pytest.raises(ValueError, match=trials_out_of_range(trials)):
+                sample_context(E0, E0, seed=1, trials=trials)
 
     def test_one_trial_lands_on_one_outcome(self, center):
         # the fewest trials the sampler takes
@@ -86,7 +93,7 @@ class TestSampleContext:
 
     def test_trials_beyond_the_sampler_rejected(self):
         for trials in (MAX_TRIALS + 1, 10**20):
-            with pytest.raises(ValueError, match="at most"):
+            with pytest.raises(ValueError, match=trials_out_of_range(trials)):
                 sample_context(E0, E0, seed=1, trials=trials)
 
     def test_seed_outside_the_unsigned_64_bit_range_rejected(self):
@@ -154,7 +161,7 @@ class TestEstimateParadox:
         assert a == b
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(EmptyTrials):
+        with pytest.raises(ValueError, match=trials_out_of_range(0)):
             estimate(build_scenario(ScenarioParams(0.5, 0.5)), seed=1, trials=0)
 
 
@@ -169,5 +176,5 @@ class TestEstimateNonlocalParadox:
         assert a == b
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(EmptyTrials):
+        with pytest.raises(ValueError, match=trials_out_of_range(0)):
             estimate(build_nonlocal(LocalParams(0.5)), seed=1, trials=0)
