@@ -12,7 +12,8 @@ a vector broke a pair of the scenario's figure, 2 bad input (unparseable
 file or one that repeats a key, out-of-domain parameters, unwritable path)
 or ``sample`` or ``sweep`` without numpy, 141 standard output was closed
 before the output was written (128 + SIGPIPE, as a shell reports a process
-that a broken pipe killed).
+that a broken pipe killed). ``verify``, ``sample`` and ``graph`` print through
+``_json_text``, which gives ``json.dumps(doc, indent=2)`` byte for byte.
 
 Run it as ``contextnet``, ``python -m contextnet`` or ``python -m contextnet.cli``.
 """
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
@@ -43,9 +45,39 @@ BROKEN_PIPE_EXIT = 141
 #: call; a grid wider than this gets one-row blocks.
 _SWEEP_BLOCK_CELLS = 2**16
 
+#: json's tokens for the floats that ``float.__repr__`` spells nan, inf and -inf.
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 #: Scenario name -> module. Each module defines ``PARAMS``, ``build`` and
 #: ``verify_all``, looked up on the module at every call.
 SCENARIOS = {"hardy3": hardy3, "nonlocal4": nonlocal4}
+
+
+def _json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, character for character; ``indent`` closes ``doc``.
+
+    ``doc`` holds str-keyed dicts, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError. No call leaves a reference cycle.
+    """
+    if isinstance(doc, float):
+        text = float.__repr__(doc)  # repr() spells a numpy.float64 np.float64(...)
+        return _FLOAT_TOKENS.get(text, text)
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(doc, (list, tuple)):
+        items = [_json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -82,7 +114,7 @@ def cmd_verify(kind: str, params_path: str) -> int:
             {"kind": v.kind, "pair": list(v.pair), "overlap": v.overlap} for v in violations
         ],
     }
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     failing = [r.id for r in report.relations if not r.residual < RESIDUAL_THRESHOLD]
     if failing:
         print(f"FAIL {failing[0]}: residual >= {RESIDUAL_THRESHOLD}", file=sys.stderr)
@@ -160,12 +192,12 @@ def cmd_sweep(
 
 def cmd_sample(kind: str, params_path: str, seed: int, trials: int) -> int:
     estimate = oracle.estimate(_build(kind, params_path), seed, trials)
-    print(json.dumps(estimate.to_json(), indent=2))
+    print(_json_text(estimate.to_json()))
     return 0
 
 
 def cmd_graph(figure: int) -> int:
-    print(json.dumps(network_to_json(builtin_network(figure)), indent=2))
+    print(_json_text(network_to_json(builtin_network(figure))))
     return 0
 
 
