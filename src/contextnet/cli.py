@@ -45,6 +45,14 @@ BROKEN_PIPE_EXIT = 141
 #: call; a grid wider than this gets one-row blocks.
 _SWEEP_BLOCK_CELLS = 2**16
 
+#: 10**17 ... 10**20, the scales of p = 0.1 ... 0.0001 to 17 integer digits, by
+#: -1 - floor(log10 p). Literals, as ``10.0 ** k`` is not exact on every platform;
+#: each is exact as a double, since 10**k = 2**k * 5**k and 5**20 < 2**53.
+_SCALES = (1e17, 1e18, 1e19, 1e20)
+
+#: Veltkamp's splitter 2**27 + 1 (see ``_split``).
+_SPLITTER = 134217729.0
+
 #: json's tokens for the floats that ``float.__repr__`` spells nan, inf and -inf.
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -123,6 +131,54 @@ def cmd_verify(kind: str, params_path: str) -> int:
     return 1 if failing or violations else 0
 
 
+def _split(v):
+    """Veltkamp's split of a float64 array: ``v == hi + lo``, each of at most 26 bits."""
+    hi = v * _SPLITTER
+    hi -= hi - v
+    return hi, v - hi
+
+
+def _fixed17(p):
+    """``(ok, width, digits)`` for each cell of ``p``, a float64 array.
+
+    Where ``ok``, ``b"0.%0*d" % (width, digits) == b"%.17g" % p``: p lies in
+    [1e-4, 1), where ``%.17g`` prints fixed-point, and its 17 digits are
+    proved exact. Any other cell, NaN and the infinities included, is not
+    ``ok``, and its width and digits mean nothing.
+    """
+    import numpy as np
+
+    with np.errstate(invalid="ignore"):  # some numpy builds warn when a NaN is compared
+        ok = (p >= 1e-4) & (p < 1.0)
+    x = np.where(ok, p, 0.5)  # finite everywhere, so every int cast below is defined
+    e = np.clip(np.floor(np.log10(x)), -4.0, -1.0).astype(np.intp)  # E, or one off near 10**E
+    s = np.array(_SCALES).take(-1 - e)
+    # Dekker's two-product, hi + lo == x * s == x * 10**(16 - E) exactly, as
+    # lo = ((x_hi*s_hi - hi) + x_hi*s_lo + x_lo*s_hi) + x_lo*s_lo, in place.
+    (x_hi, x_lo), (s_hi, s_lo) = _split(x), _split(s)
+    hi = x * s
+    lo = x_hi * s_hi
+    lo -= hi
+    for a, b in ((x_hi, s_lo), (x_lo, s_hi), (x_lo, s_lo)):
+        lo += np.multiply(a, b, out=s)
+    # hi + lo in [10**16, 10**17): 17 digits, and an E that log10 misjudged fails here.
+    ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17)
+    # Where ok, hi is a double in [1e16, 1e17], so an even integer, and |lo| <= 8:
+    # rounding lo half to even rounds hi + lo half to even, as %.17g does, and
+    # both casts are exact.
+    digits = hi.astype(np.int64)
+    digits += np.rint(lo, out=lo).astype(np.int64)
+    width = 16 - e  # the zeros after "0." and the 17 digits
+    # %.17g drops trailing zeros.
+    flat_digits, flat_width = digits.reshape(-1), width.reshape(-1)
+    cells = np.flatnonzero(ok.reshape(-1) & (flat_digits // 10 * 10 == flat_digits))
+    while cells.size:
+        flat_digits[cells] //= 10
+        flat_width[cells] -= 1
+        cells = cells[flat_digits[cells] % 10 == 0]
+    return ok, width, digits
+
+
 def cmd_sweep(
     grid: int, alpha_range: tuple[float, float], beta_range: tuple[float, float], out: str
 ) -> int:
@@ -132,7 +188,7 @@ def cmd_sweep(
     value, all before the file is opened, so bad input leaves an existing
     file as it was. The grid values are checked in the order a cell-by-cell
     loop would meet them (the first alpha, every beta, the other alphas),
-    which fixes the ``error:`` text. A grid whose axes or row template do
+    which fixes the ``error:`` text. A grid whose axes or row templates do
     not fit in memory is bad input too. ``out`` is opened, and echoed in
     the summary line, as given.
     """
@@ -156,7 +212,14 @@ def cmd_sweep(
         # One line per beta, each beta formatted once: "%s,<beta>,%.17g\r\n".
         # bytes %-formatting spells a float as f"{x:.17g}" does (both call
         # PyOS_double_to_string), so each row is one C-level formatting pass.
-        template = b"".join([b"%%s,%.17g,%%.17g\r\n" % b for b in betas.tolist()])
+        # A row whose every p is ``_fixed17``'s ``ok`` takes a second template,
+        # "%s,<beta>,0.%0*d\r\n", with each p as its width and digits; any
+        # other row (a p below 1e-4, which %.17g prints with an exponent, or
+        # one whose digits the kernel did not prove) takes the first. Either
+        # way each p is spelled as %.17g spells it.
+        beta_texts = [b"%.17g" % b for b in betas.tolist()]
+        template = b"".join([b"%%s,%s,%%.17g\r\n" % b for b in beta_texts])
+        fixed_template = b"".join([b"%%s,%s,0.%%0*d\r\n" % b for b in beta_texts])
     except MemoryError:
         raise ValueError(too_large) from None
     require_interior(alphas[0], "alpha")
@@ -176,10 +239,19 @@ def cmd_sweep(
         fh.write(b"alpha,beta,p_paradox\r\n")
         for i in range(0, grid, rows):
             block = hardy3._paradox(alpha_axis[i : i + rows, None], betas)
-            for a, row in zip(alphas[i : i + rows], block):
-                args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
-                args[1::2] = row.tolist()
-                fh.write(template % tuple(args))
+            ok, width, digits = _fixed17(block)
+            for a, row, row_ok, w, d in zip(
+                alphas[i : i + rows], block, ok.all(axis=1).tolist(), width, digits
+            ):
+                if row_ok:
+                    args = [b"%.17g" % a] * (3 * grid)  # alpha, width, digits, alpha, ...
+                    args[1::3] = w.tolist()
+                    args[2::3] = d.tolist()
+                    fh.write(fixed_template % tuple(args))
+                else:
+                    args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
+                    args[1::2] = row.tolist()
+                    fh.write(template % tuple(args))
             r, j = divmod(int(block.argmax()), grid)
             if block[r, j] > best[0]:
                 best = (float(block[r, j]), alphas[i + r], float(betas[j]))

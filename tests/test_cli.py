@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,8 +314,11 @@ class TestSweep:
         # 0.1 is not exactly representable; 17 significant digits expose that
         assert row[0] == "0.10000000000000001"
 
-    @pytest.mark.parametrize("grid,lo,hi", [(3, 0.01, 0.99), (4, 0.2, 0.7),
-                                            (99, 0.01, 0.99), (5, 0.3, 0.3)])
+    @pytest.mark.parametrize("grid,lo,hi", [
+        (3, 0.01, 0.99), (4, 0.2, 0.7), (99, 0.01, 0.99), (5, 0.3, 0.3),
+        (111, 0.01, 0.99),  # both row paths: the first and last rows have a p below 1e-4
+        (21, 1e-9, 1e-5),  # every p below 1e-4: every row through the %.17g template
+    ])
     def test_bytes_match_scalar_reference(self, tmp_path, capsys, grid, lo, hi):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", str(grid), "--alpha-range", f"{lo},{hi}",
@@ -323,6 +327,15 @@ class TestSweep:
         csv_bytes, summary = scalar_sweep(values, values, out)
         assert out.read_bytes() == csv_bytes
         assert capsys.readouterr().out == summary
+
+    @pytest.mark.parametrize("grid,lo,hi,fixed_rows", [
+        (111, 0.01, 0.99, 109), (21, 1e-9, 1e-5, 0), (5, 0.3, 0.3, 5),
+    ])
+    def test_rows_take_the_fixed_point_template_where_every_p_is_ok(
+            self, grid, lo, hi, fixed_rows):
+        axis = np.linspace(lo, hi, grid)
+        ok = cli._fixed17(hardy3._paradox(axis[:, None], axis))[0]
+        assert int(ok.all(axis=1).sum()) == fixed_rows
 
     @pytest.mark.parametrize("grid,alpha_range", [
         (257, "0.01,0.99"),  # 66,049 cells: a full block of 255 rows, then 2 rows
@@ -531,6 +544,80 @@ class TestSweep:
             assert out.read_bytes() == b"previous run\r\n"
         else:
             assert not out.exists()
+
+
+def _fixed17_checked(values):
+    """``_fixed17``'s ``ok`` over ``values``, after checking every cell it marks ok.
+
+    Such a cell lies in [1e-4, 1) and prints, as ``b"0.%0*d" % (width,
+    digits)``, exactly the bytes of ``b"%.17g" % value``.
+    """
+    p = np.asarray(values, dtype=np.float64)
+    ok, width, digits = cli._fixed17(p)
+    assert ok.shape == width.shape == digits.shape == p.shape
+    for x, good, w, d in zip(*(a.ravel().tolist() for a in (p, ok, width, digits))):
+        if good:
+            assert 1e-4 <= x < 1.0, x
+            assert b"0.%0*d" % (w, d) == b"%.17g" % x, x
+    return ok
+
+
+class TestFixed17:
+    """The sweep's vectorised %.17g for p in [1e-4, 1): exact where it says ok."""
+
+    @seed(20261020)
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.floats(1e-5, 1.0)), min_size=1, max_size=40))
+    @example(values=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                     1.0, -0.5, -1e-3, 1e-4, math.nextafter(1e-4, 0.0), 1e300])
+    def test_ok_cells_print_as_17g_and_lie_in_the_fixed_point_range(self, values):
+        # A 2-D block, as the sweep passes.
+        _fixed17_checked(np.reshape(values, (1, -1)))
+
+    def test_exact_decimal_ties_round_half_to_even(self):
+        # x = M * 2**-(m + 1) with M odd: x * 10**m = M * 5**m / 2 ends in
+        # exactly .5, so every such x in [10**(16 - m), 10**(17 - m)) is a tie
+        # of its 17th digit.
+        ties = []
+        for m in range(17, 21):
+            lo, hi = 2 ** (m + 1) // 10 ** (m - 16) + 1, 2 ** (m + 1) * 10 // 10 ** (m - 16)
+            ties.append(np.ldexp(np.arange(lo | 1, hi, 2, dtype=np.float64), -(m + 1)))
+        ties = np.concatenate(ties)
+        assert ties.size == 147_219
+        assert _fixed17_checked(ties).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_fifty_ulps_around_a_power_of_ten(self, k):
+        # log10 may misjudge E for an x just below 10**-k; such a cell is not ok.
+        around = [10.0**-k]
+        for toward in (0.0, 1.0):
+            x = 10.0**-k
+            for _ in range(50):
+                x = math.nextafter(x, toward)
+                around.append(x)
+        _fixed17_checked(around)
+
+    @pytest.mark.parametrize("x,text", [
+        (math.nextafter(1.0, 0.0), b"0.99999999999999989"),
+        (0.5, b"0.5"), (0.25, b"0.25"), (0.0625, b"0.0625"),  # %.17g drops trailing zeros
+        (0.1, b"0.10000000000000001"), (1e-4, b"0.0001"),
+    ])
+    def test_ends_of_the_range_and_trailing_zeros(self, x, text):
+        assert _fixed17_checked([x]).all()
+        assert b"%.17g" % x == text
+
+    def test_every_value_of_a_seeded_sample_in_range_is_ok(self):
+        # Only an x within a few ulps below a power of ten may miss the fast path.
+        rng = np.random.default_rng(20261020)
+        values = np.concatenate([rng.uniform(1e-4, 1.0, 20_000), 10 ** rng.uniform(-4, 0, 20_000)])
+        values = values[(values >= 1e-4) & (values < 1.0)]
+        assert _fixed17_checked(values).all()
+
+    def test_non_finite_cells_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = _fixed17_checked([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e308, 1e308])
+        assert not ok.any()
 
 
 class TestParser:

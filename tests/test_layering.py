@@ -160,8 +160,9 @@ def _numpy_imports(node, scope):
 
 
 def test_numpy_is_imported_only_where_it_computes():
-    # the Philox binomial and the sweep grid; no module imports numpy at top level
+    # the Philox binomial, the sweep grid and the sweep's 17-digit kernel; no
+    # module imports numpy at top level
     found = set()
     for path in pathlib.Path(contextnet.__path__[0]).glob("*.py"):
         found.update(_numpy_imports(ast.parse(path.read_text(), str(path)), path.stem))
-    assert found == {"oracle.sample_context", "cli.cmd_sweep"}
+    assert found == {"oracle.sample_context", "cli.cmd_sweep", "cli._fixed17"}

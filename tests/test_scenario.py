@@ -30,7 +30,7 @@ import pytest
 
 import contextnet
 from contextnet import cli, hardy3, hilbert, nonlocal4, oracle, scenario
-from contextnet.errors import OutOfDomain
+from contextnet.errors import BOUNDARY_MARGIN, OutOfDomain
 from contextnet.hardy3 import HardyScenario, ScenarioParams, build_scenario
 from contextnet.hardy3 import verify_all as verify_hardy
 from contextnet.hilbert import (
@@ -482,6 +482,29 @@ def test_near_boundary_residuals_stay_at_rounding_level():
             report = verify_nonlocal(build_nonlocal(p))
         worst = nan_max((worst, report.max_residual()))
     assert worst < 1e-14
+
+
+def test_s1_s2_overlap_sets_the_boundary_margin():
+    # From the cofactor form, |<S1|S2>|^2 = (1 - alpha)(1 - beta) whatever the
+    # phases, with no closed form of the package in between. At alpha = beta =
+    # 1 - BOUNDARY_MARGIN, (S1, S2) is Figure 2's thinnest required non-edge,
+    # and |<S1|S2>| = BOUNDARY_MARGIN = 10 * ORTH_TOL: the margin keeps every
+    # required non-edge a decade above the tolerance that decides orthogonality.
+    for p in make_points(2024, 20000)[0::2]:  # the 10,000 hardy3 points, phases included
+        s = build_scenario(p)
+        expected = (1.0 - p.alpha) * (1.0 - p.beta)
+        assert abs(abs(inner(s.s1, s.s2)) ** 2 - expected) <= 16 * 2.0**-52 * expected, p
+    corner = 1.0 - BOUNDARY_MARGIN
+    for phase_d1, phase_d2 in ((0.0, 0.0), (1.3, -2.0)):
+        s = build_scenario(ScenarioParams(corner, corner, phase_d1, phase_d2))
+        overlaps = {
+            (x, y): abs(inner(s.vectors[x], s.vectors[y]))
+            for x, y in s.NETWORK.required_non_edges
+        }
+        assert min(overlaps, key=overlaps.get) == ("S1", "S2")
+        assert overlaps["S1", "S2"] == pytest.approx(1.0 - corner, rel=1e-15)
+        assert overlaps["S1", "S2"] == pytest.approx(BOUNDARY_MARGIN, rel=1e-7)
+        assert BOUNDARY_MARGIN == 10 * ORTH_TOL
 
 
 def test_gram_sums_do_not_depend_on_the_python_version():
