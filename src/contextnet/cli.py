@@ -46,7 +46,7 @@ BROKEN_PIPE_EXIT = 141
 _SWEEP_BLOCK_CELLS = 2**16
 
 #: 10**17 ... 10**20, the scales of p = 0.1 ... 0.0001 to 17 integer digits, by
-#: -1 - floor(log10 p). Literals, as ``10.0 ** k`` is not exact on every platform;
+#: the zeros after "0." in p. Literals, as ``10.0 ** k`` is not exact everywhere;
 #: each is exact as a double, since 10**k = 2**k * 5**k and 5**20 < 2**53.
 _SCALES = (1e17, 1e18, 1e19, 1e20)
 
@@ -139,21 +139,26 @@ def _split(v):
 
 
 def _fixed17(p):
-    """``(ok, width, digits)`` for each cell of ``p``, a float64 array.
+    """``(ok, zeros, digits)`` for each cell of ``p``, a float64 array.
 
-    Where ``ok``, ``b"0.%0*d" % (width, digits) == b"%.17g" % p``: p lies in
-    [1e-4, 1), where ``%.17g`` prints fixed-point, and its 17 digits are
-    proved exact. Any other cell, NaN and the infinities included, is not
-    ``ok``, and its width and digits mean nothing.
+    Where ``ok``, ``b"0." + b"0" * zeros + b"%d" % digits == b"%.17g" % p``:
+    p lies in [1e-4, 1), where ``%.17g`` prints fixed-point, and its 17 digits
+    are proved exact. Any other cell, NaN and the infinities included, is not
+    ``ok``, and its zeros and digits mean nothing.
     """
     import numpy as np
 
     with np.errstate(invalid="ignore"):  # some numpy builds warn when a NaN is compared
         ok = (p >= 1e-4) & (p < 1.0)
     x = np.where(ok, p, 0.5)  # finite everywhere, so every int cast below is defined
-    e = np.clip(np.floor(np.log10(x)), -4.0, -1.0).astype(np.intp)  # E, or one off near 10**E
-    s = np.array(_SCALES).take(-1 - e)
-    # Dekker's two-product, hi + lo == x * s == x * 10**(16 - E) exactly, as
+    # The zeros after "0.", -1 - floor(log10 x): each literal is the double just
+    # above its power of ten, so x < 0.1 exactly when x < 1/10. Cast before
+    # adding, as numpy's bool + bool is a logical or.
+    zeros = (x < 0.1).astype(np.intp)
+    zeros += x < 0.01
+    zeros += x < 0.001
+    s = np.array(_SCALES).take(zeros)
+    # Dekker's two-product, hi + lo == x * s == x * 10**(17 + zeros) exactly, as
     # lo = ((x_hi*s_hi - hi) + x_hi*s_lo + x_lo*s_hi) + x_lo*s_lo, in place.
     (x_hi, x_lo), (s_hi, s_lo) = _split(x), _split(s)
     hi = x * s
@@ -161,22 +166,21 @@ def _fixed17(p):
     lo -= hi
     for a, b in ((x_hi, s_lo), (x_lo, s_hi), (x_lo, s_lo)):
         lo += np.multiply(a, b, out=s)
-    # hi + lo in [10**16, 10**17): 17 digits, and an E that log10 misjudged fails here.
+    # hi + lo in [10**16, 10**17): 17 digits. A guard: the exact zero count
+    # already puts every p of [1e-4, 1) there, its hi included.
     ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17)
     # Where ok, hi is a double in [1e16, 1e17], so an even integer, and |lo| <= 8:
     # rounding lo half to even rounds hi + lo half to even, as %.17g does, and
     # both casts are exact.
     digits = hi.astype(np.int64)
     digits += np.rint(lo, out=lo).astype(np.int64)
-    width = 16 - e  # the zeros after "0." and the 17 digits
     # %.17g drops trailing zeros.
-    flat_digits, flat_width = digits.reshape(-1), width.reshape(-1)
-    cells = np.flatnonzero(ok.reshape(-1) & (flat_digits // 10 * 10 == flat_digits))
+    flat = digits.reshape(-1)
+    cells = np.flatnonzero(ok.reshape(-1) & (flat // 10 * 10 == flat))
     while cells.size:
-        flat_digits[cells] //= 10
-        flat_width[cells] -= 1
-        cells = cells[flat_digits[cells] % 10 == 0]
-    return ok, width, digits
+        flat[cells] //= 10
+        cells = cells[flat[cells] % 10 == 0]
+    return ok, zeros, digits
 
 
 def cmd_sweep(
@@ -209,17 +213,17 @@ def cmd_sweep(
         alpha_axis = np.linspace(alpha_range[0], alpha_range[1], grid)
         alphas = alpha_axis.tolist()
         betas = np.linspace(beta_range[0], beta_range[1], grid)
-        # One line per beta, each beta formatted once: "%s,<beta>,%.17g\r\n".
-        # bytes %-formatting spells a float as f"{x:.17g}" does (both call
-        # PyOS_double_to_string), so each row is one C-level formatting pass.
-        # A row whose every p is ``_fixed17``'s ``ok`` takes a second template,
-        # "%s,<beta>,0.%0*d\r\n", with each p as its width and digits; any
-        # other row (a p below 1e-4, which %.17g prints with an exponent, or
-        # one whose digits the kernel did not prove) takes the first. Either
-        # way each p is spelled as %.17g spells it.
+        # Five pieces per beta, each beta formatted once: ",<beta>,0.%d\r\n"
+        # with 0 to 3 zeros after "0.", and ",<beta>,%.17g\r\n". Each cell
+        # takes the piece of its ``_fixed17`` zeros where ``ok``, else the last
+        # (a p below 1e-4, which %.17g prints with an exponent, or a NaN); a
+        # row's template is its alpha text joined with its cells' pieces and
+        # takes each cell's digits or p in one C-level formatting pass. bytes
+        # %-formatting spells a float as f"{x:.17g}" does (both call
+        # PyOS_double_to_string), so each p is spelled as %.17g spells it.
         beta_texts = [b"%.17g" % b for b in betas.tolist()]
-        template = b"".join([b"%%s,%s,%%.17g\r\n" % b for b in beta_texts])
-        fixed_template = b"".join([b"%%s,%s,0.%%0*d\r\n" % b for b in beta_texts])
+        pieces = np.array([[b",%s,0.%s%%d\r\n" % (b, b"0" * z) for z in range(4)]
+                           + [b",%s,%%.17g\r\n" % b] for b in beta_texts], dtype=object)
     except MemoryError:
         raise ValueError(too_large) from None
     require_interior(alphas[0], "alpha")
@@ -228,6 +232,7 @@ def cmd_sweep(
     for a in alphas[1:]:
         require_interior(a, "alpha")
     rows = max(1, _SWEEP_BLOCK_CELLS // grid)
+    columns = np.arange(grid)
     # (p, alpha, beta). Blocks and the rows within a block run in
     # lexicographic (alpha, beta) order and argmax returns the first maximum
     # of a block in row-major order, so a strict > keeps the first maximum of
@@ -239,19 +244,13 @@ def cmd_sweep(
         fh.write(b"alpha,beta,p_paradox\r\n")
         for i in range(0, grid, rows):
             block = hardy3._paradox(alpha_axis[i : i + rows, None], betas)
-            ok, width, digits = _fixed17(block)
-            for a, row, row_ok, w, d in zip(
-                alphas[i : i + rows], block, ok.all(axis=1).tolist(), width, digits
-            ):
-                if row_ok:
-                    args = [b"%.17g" % a] * (3 * grid)  # alpha, width, digits, alpha, ...
-                    args[1::3] = w.tolist()
-                    args[2::3] = d.tolist()
-                    fh.write(fixed_template % tuple(args))
-                else:
-                    args = [b"%.17g" % a] * (2 * grid)  # alpha, p, alpha, p, ...
-                    args[1::2] = row.tolist()
-                    fh.write(template % tuple(args))
+            ok, zeros, digits = _fixed17(block)
+            lines = pieces[columns, np.where(ok, zeros, 4)].tolist()
+            args = digits.astype(object)
+            args[~ok] = block[~ok]
+            for a, row_lines, row_args in zip(alphas[i : i + rows], lines, args.tolist()):
+                a = b"%.17g" % a
+                fh.write((a + a.join(row_lines)) % tuple(row_args))
             r, j = divmod(int(block.argmax()), grid)
             if block[r, j] > best[0]:
                 best = (float(block[r, j]), alphas[i + r], float(betas[j]))

@@ -316,8 +316,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid,lo,hi", [
         (3, 0.01, 0.99), (4, 0.2, 0.7), (99, 0.01, 0.99), (5, 0.3, 0.3),
-        (111, 0.01, 0.99),  # both row paths: the first and last rows have a p below 1e-4
-        (21, 1e-9, 1e-5),  # every p below 1e-4: every row through the %.17g template
+        (111, 0.01, 0.99),  # two cells, the corners, take the %.17g piece
+        (21, 1e-9, 1e-5),  # every p below 1e-4: every cell takes the %.17g piece
     ])
     def test_bytes_match_scalar_reference(self, tmp_path, capsys, grid, lo, hi):
         out = tmp_path / "sweep.csv"
@@ -328,14 +328,39 @@ class TestSweep:
         assert out.read_bytes() == csv_bytes
         assert capsys.readouterr().out == summary
 
-    @pytest.mark.parametrize("grid,lo,hi,fixed_rows", [
-        (111, 0.01, 0.99, 109), (21, 1e-9, 1e-5, 0), (5, 0.3, 0.3, 5),
+    @pytest.mark.parametrize("grid,lo,hi,fallback_cells", [
+        (111, 0.01, 0.99, 2),  # the corners (0.01, 0.99) and (0.99, 0.01), where p < 1e-4
+        (21, 1e-9, 1e-5, 441), (5, 0.3, 0.3, 0),
     ])
-    def test_rows_take_the_fixed_point_template_where_every_p_is_ok(
-            self, grid, lo, hi, fixed_rows):
+    def test_cells_take_the_17g_piece_where_p_is_not_ok(self, grid, lo, hi, fallback_cells):
         axis = np.linspace(lo, hi, grid)
         ok = cli._fixed17(hardy3._paradox(axis[:, None], axis))[0]
-        assert int(ok.all(axis=1).sum()) == fixed_rows
+        assert int((~ok).sum()) == fallback_cells
+
+    def test_cells_that_are_not_ok_in_the_middle_of_rows(self, tmp_path, capsys, monkeypatch):
+        # One p that _fixed17 does not mark ok in the middle of each row,
+        # between cells with 0 to 3 zeros: each must print as %.17g.
+        odd = [math.nan, math.inf, -math.inf, 1.0, 5e-5]
+        paradox = hardy3._paradox
+
+        def with_odd_cells(alphas, betas):
+            block = paradox(alphas, betas)
+            for r in range(block.shape[0]):
+                block[r, 3] = odd[r % len(odd)]
+            return block
+
+        monkeypatch.setattr(hardy3, "_paradox", with_odd_cells)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "7", "--alpha-range=0.002,0.5", "--beta-range=0.01,0.99",
+                     "--out", str(out)]) == 0
+        alphas, betas = np.linspace(0.002, 0.5, 7), np.linspace(0.01, 0.99, 7)
+        block = with_odd_cells(alphas[:, None], betas)
+        ok, zeros, _ = cli._fixed17(block)
+        assert set(zeros[ok].tolist()) == {0, 1, 2, 3} and int((~ok).sum()) == 8
+        expected = b"alpha,beta,p_paradox\r\n" + b"".join(
+            b"%.17g,%.17g,%.17g\r\n" % (a, b, p)
+            for a, row in zip(alphas.tolist(), block.tolist()) for b, p in zip(betas.tolist(), row))
+        assert out.read_bytes() == expected
 
     @pytest.mark.parametrize("grid,alpha_range", [
         (257, "0.01,0.99"),  # 66,049 cells: a full block of 255 rows, then 2 rows
@@ -549,16 +574,16 @@ class TestSweep:
 def _fixed17_checked(values):
     """``_fixed17``'s ``ok`` over ``values``, after checking every cell it marks ok.
 
-    Such a cell lies in [1e-4, 1) and prints, as ``b"0.%0*d" % (width,
-    digits)``, exactly the bytes of ``b"%.17g" % value``.
+    Such a cell lies in [1e-4, 1) and prints, as ``b"0." + b"0" * zeros +
+    b"%d" % digits``, exactly the bytes of ``b"%.17g" % value``.
     """
     p = np.asarray(values, dtype=np.float64)
-    ok, width, digits = cli._fixed17(p)
-    assert ok.shape == width.shape == digits.shape == p.shape
-    for x, good, w, d in zip(*(a.ravel().tolist() for a in (p, ok, width, digits))):
+    ok, zeros, digits = cli._fixed17(p)
+    assert ok.shape == zeros.shape == digits.shape == p.shape
+    for x, good, z, d in zip(*(a.ravel().tolist() for a in (p, ok, zeros, digits))):
         if good:
             assert 1e-4 <= x < 1.0, x
-            assert b"0.%0*d" % (w, d) == b"%.17g" % x, x
+            assert b"0." + b"0" * z + b"%d" % d == b"%.17g" % x, x
     return ok
 
 
@@ -588,14 +613,14 @@ class TestFixed17:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_fifty_ulps_around_a_power_of_ten(self, k):
-        # log10 may misjudge E for an x just below 10**-k; such a cell is not ok.
         around = [10.0**-k]
         for toward in (0.0, 1.0):
             x = 10.0**-k
             for _ in range(50):
                 x = math.nextafter(x, toward)
                 around.append(x)
-        _fixed17_checked(around)
+        ok = _fixed17_checked(around)
+        assert ok[(np.array(around) >= 1e-4) & (np.array(around) < 1.0)].all()
 
     @pytest.mark.parametrize("x,text", [
         (math.nextafter(1.0, 0.0), b"0.99999999999999989"),
@@ -607,7 +632,6 @@ class TestFixed17:
         assert b"%.17g" % x == text
 
     def test_every_value_of_a_seeded_sample_in_range_is_ok(self):
-        # Only an x within a few ulps below a power of ten may miss the fast path.
         rng = np.random.default_rng(20261020)
         values = np.concatenate([rng.uniform(1e-4, 1.0, 20_000), 10 ** rng.uniform(-4, 0, 20_000)])
         values = values[(values >= 1e-4) & (values < 1.0)]
