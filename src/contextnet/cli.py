@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import hardy3, nonlocal4, oracle
 from ._version import __version__
-from .errors import require_interior
+from .errors import BOUNDARY_MARGIN, require_interior
 from .network import NETWORKS, builtin_network, network_to_json, validate_realization
 from .report import report_to_json
 
@@ -190,11 +190,14 @@ def cmd_sweep(
 
     The grid size and the two ranges are checked first, then every grid
     value, all before the file is opened, so bad input leaves an existing
-    file as it was. The grid values are checked in the order a cell-by-cell
-    loop would meet them (the first alpha, every beta, the other alphas),
-    which fixes the ``error:`` text. A grid whose axes or row templates do
-    not fit in memory is bad input too. ``out`` is opened, and echoed in
-    the summary line, as given.
+    file as it was. The first grid value out of the domain, in the order a
+    cell-by-cell loop would meet them (the first alpha, every beta, the
+    other alphas), fixes the ``error:`` text. A grid whose axes or piece
+    table do not fit in memory is bad input too. Each row is filled in one
+    ``%`` pass and each block's rows are joined and written in one
+    ``write``, so memory holds one block's text, of at most about 2**16
+    cells. ``out`` is opened, and echoed in the summary line, as given. The
+    summary names the grid's first largest p, or its first NaN p.
     """
     if grid < 3:
         raise ValueError("grid needs at least 3 points per axis")
@@ -221,22 +224,27 @@ def cmd_sweep(
         # takes each cell's digits or p in one C-level formatting pass. bytes
         # %-formatting spells a float as f"{x:.17g}" does (both call
         # PyOS_double_to_string), so each p is spelled as %.17g spells it.
-        beta_texts = [b"%.17g" % b for b in betas.tolist()]
-        pieces = np.array([[b",%s,0.%s%%d\r\n" % (b, b"0" * z) for z in range(4)]
-                           + [b",%s,%%.17g\r\n" % b] for b in beta_texts], dtype=object)
+        heads = [b",%.17g," % b for b in betas.tolist()]
+        pieces = np.empty((grid, 5), dtype=object)
+        for z, tail in enumerate((b"0.%d\r\n", b"0.0%d\r\n", b"0.00%d\r\n", b"0.000%d\r\n",
+                                  b"%.17g\r\n")):
+            pieces[:, z] = [h + tail for h in heads]
     except MemoryError:
         raise ValueError(too_large) from None
-    require_interior(alphas[0], "alpha")
-    for b in betas:
-        require_interior(b, "beta")
-    for a in alphas[1:]:
-        require_interior(a, "alpha")
+    if not all(((axis >= BOUNDARY_MARGIN) & (axis <= 1.0 - BOUNDARY_MARGIN)).all()
+               for axis in (alpha_axis, betas)):
+        # Some value is out of the domain: name the first, as require_interior words it.
+        require_interior(alphas[0], "alpha")
+        for b in betas:
+            require_interior(b, "beta")
+        for a in alphas[1:]:
+            require_interior(a, "alpha")
     rows = max(1, _SWEEP_BLOCK_CELLS // grid)
     columns = np.arange(grid)
     # (p, alpha, beta). Blocks and the rows within a block run in
-    # lexicographic (alpha, beta) order and argmax returns the first maximum
-    # of a block in row-major order, so a strict > keeps the first maximum of
-    # the grid, which is the lexicographically smallest.
+    # lexicographic (alpha, beta) order and argmax returns the first maximum,
+    # or the first NaN, of a block in row-major order, so a strict > that
+    # never replaces a NaN keeps the grid's first maximum, or its first NaN.
     best = (-1.0, 1.0, 1.0)
     with open(out, "wb") as fh:
         # The csv module's excel dialect would write the same bytes: it never
@@ -246,14 +254,23 @@ def cmd_sweep(
             block = hardy3._paradox(alpha_axis[i : i + rows, None], betas)
             ok, zeros, digits = _fixed17(block)
             lines = pieces[columns, np.where(ok, zeros, 4)].tolist()
-            args = digits.astype(object)
-            args[~ok] = block[~ok]
-            for a, row_lines, row_args in zip(alphas[i : i + rows], lines, args.tolist()):
-                a = b"%.17g" % a
-                fh.write((a + a.join(row_lines)) % tuple(row_args))
+            args = digits.ravel().tolist()
+            odd = np.flatnonzero(~ok)
+            for k, p in zip(odd.tolist(), block.ravel()[odd].tolist()):
+                args[k] = p
+            args = tuple(args)
+            # One write per block. A single % over the block's joined row
+            # templates would grow its result by realloc, faulting in fresh
+            # pages on every call; a join allocates its result once.
+            fh.write(b"".join(
+                (a + a.join(row_lines)) % args[k : k + grid]
+                for a, row_lines, k in zip(
+                    (b"%.17g" % a for a in alphas[i : i + rows]), lines, range(0, len(args), grid))
+            ))
             r, j = divmod(int(block.argmax()), grid)
-            if block[r, j] > best[0]:
-                best = (float(block[r, j]), alphas[i + r], float(betas[j]))
+            p = float(block[r, j])
+            if p > best[0] or (math.isnan(p) and not math.isnan(best[0])):
+                best = (p, alphas[i + r], float(betas[j]))
     print(
         f"sweep {grid}x{grid}: max p_paradox={best[0]:.17g} "
         f"at alpha={best[1]:.17g} beta={best[2]:.17g} -> {out}"

@@ -44,6 +44,17 @@ def scalar_sweep(alphas, betas, out):
     return expected.getvalue().encode("utf-8"), summary
 
 
+#: The doubles one ulp outside the parameter domain, below and above.
+BELOW_DOMAIN = float(np.nextafter(BOUNDARY_MARGIN, 0.0))
+ABOVE_DOMAIN = float(np.nextafter(1.0 - BOUNDARY_MARGIN, 1.0))
+
+
+def domain_error(name, value):
+    """The ``error:`` line that bad input ``name=value`` prints."""
+    return (f"error: {name}={value!r} must lie in [1e-09, 0.999999999]; "
+            "boundary values break the scenario's non-orthogonality requirements\n")
+
+
 def cli_env():
     """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(contextnet.__file__).resolve().parents[1])
@@ -318,6 +329,8 @@ class TestSweep:
         (3, 0.01, 0.99), (4, 0.2, 0.7), (99, 0.01, 0.99), (5, 0.3, 0.3),
         (111, 0.01, 0.99),  # two cells, the corners, take the %.17g piece
         (21, 1e-9, 1e-5),  # every p below 1e-4: every cell takes the %.17g piece
+        (64, BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN),  # both ends of the domain
+        (3, BOUNDARY_MARGIN, 0.5), (3, 0.5, 1.0 - BOUNDARY_MARGIN),
     ])
     def test_bytes_match_scalar_reference(self, tmp_path, capsys, grid, lo, hi):
         out = tmp_path / "sweep.csv"
@@ -361,6 +374,64 @@ class TestSweep:
             b"%.17g,%.17g,%.17g\r\n" % (a, b, p)
             for a, row in zip(alphas.tolist(), block.tolist()) for b, p in zip(betas.tolist(), row))
         assert out.read_bytes() == expected
+        # The first NaN, in row 0, names the summary; the infinity after it does not.
+        assert capsys.readouterr().out == (
+            f"sweep 7x7: max p_paradox=nan at alpha={alphas[0]:.17g} beta={betas[3]:.17g}"
+            f" -> {out}\n")
+
+    def test_a_nan_in_a_later_block_is_kept_over_a_larger_p(self, tmp_path, capsys, monkeypatch):
+        # Blocks of 2 rows: the first holds finite p only, the second a NaN,
+        # the third a p above the grid's true maximum and the last a NaN.
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 2 * 7)
+        axis = np.linspace(0.01, 0.99, 7)
+        paradox = hardy3._paradox
+
+        def with_nan_then_larger(alphas, betas):
+            block = paradox(alphas, betas)
+            block[alphas[:, 0] == axis[3], 2] = math.nan
+            block[alphas[:, 0] == axis[5], 0] = 0.5
+            block[alphas[:, 0] == axis[6], 1] = math.nan
+            return block
+
+        monkeypatch.setattr(hardy3, "_paradox", with_nan_then_larger)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "7", "--out", str(out)]) == 0
+        block = with_nan_then_larger(axis[:, None], axis)
+        expected = b"alpha,beta,p_paradox\r\n" + b"".join(
+            b"%.17g,%.17g,%.17g\r\n" % (a, b, p)
+            for a, row in zip(axis.tolist(), block.tolist()) for b, p in zip(axis.tolist(), row))
+        assert out.read_bytes() == expected
+        assert capsys.readouterr().out == (
+            f"sweep 7x7: max p_paradox=nan at alpha={axis[3]:.17g} beta={axis[2]:.17g}"
+            f" -> {out}\n")
+
+    def test_one_write_per_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 3 * 7)  # blocks of 3, 3 and 1 rows
+        writes = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "open", lambda *a: Recording(open(*a)), raising=False)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "7", "--out", str(out)]) == 0
+        values = np.linspace(0.01, 0.99, 7)
+        csv_bytes, summary = scalar_sweep(values, values, out)
+        assert writes[0] == b"alpha,beta,p_paradox\r\n"
+        assert [w.count(b"\r\n") for w in writes[1:]] == [21, 21, 7]
+        assert b"".join(writes) == out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == summary
 
     @pytest.mark.parametrize("grid,alpha_range", [
         (257, "0.01,0.99"),  # 66,049 cells: a full block of 255 rows, then 2 rows
@@ -468,6 +539,11 @@ class TestSweep:
         ("0.1,0.9999999999999", "1e-12,0.5", "error: beta=1e-12"),
         # of two alphas out of domain, the earlier one is named
         ("0.5,1.5", "0.1,0.5", "error: alpha=1.0 "),
+        # one ulp outside the domain, named in the same order
+        (f"{BELOW_DOMAIN},0.5", "0.1,0.5", domain_error("alpha", BELOW_DOMAIN)),
+        ("0.1,0.5", f"0.5,{ABOVE_DOMAIN}", domain_error("beta", ABOVE_DOMAIN)),
+        (f"0.5,{ABOVE_DOMAIN}", "0.1,0.5", domain_error("alpha", ABOVE_DOMAIN)),
+        (f"0.5,{ABOVE_DOMAIN}", f"{BELOW_DOMAIN},0.5", domain_error("beta", BELOW_DOMAIN)),
     ])
     def test_out_of_domain_error_names_the_first_bad_cell(
             self, tmp_path, capsys, alpha_range, beta_range, prefix):
